@@ -8,14 +8,11 @@ state count and records the trend (it must be monotone-ish and the search
 space strictly growing).
 
 A second sweep scales the *worker* axis: the same Table-3 rows compiled
-through the work-stealing portfolio at 1/2/4/8 workers.  Its invariant
-is correctness, not speed (this harness may run on a single core): the
+through the process portfolio at 1/2/4/8 workers.  Its invariant is
+correctness, not speed (this harness may run on a single core): the
 winner's status and resource counts must be identical at every worker
-count — the scheduler is not allowed to change answers.  Wall clocks
-are recorded in the report for machines where the sweep is meaningful;
-``benchmarks/bench_steal.py`` is the dedicated scheduler benchmark
-(worker sweep, steal-vs-static A/B, overhead envelope, single-stream
-parity against the pre-PR-9 tree)."""
+count — the pool is not allowed to change answers.  Wall clocks are
+recorded in the report for machines where the sweep is meaningful."""
 
 from __future__ import annotations
 
@@ -86,12 +83,12 @@ def test_scalability_report(benchmark, report):
     assert bits == sorted(bits) and bits[-1] > bits[0]
 
 
-# -- worker-count sweep (Table-3 rows through the steal scheduler) ------
+# -- worker-count sweep (Table-3 rows through the process portfolio) ----
 
 WORKER_COUNTS = [1, 2, 4, 8]
 
 # Fast Table-3 rows (every arm terminates quickly) so the sweep measures
-# scheduler behaviour, not solver tail latency.
+# pool behaviour, not solver tail latency.
 SWEEP_ROWS = ["Parse icmp", "Geneve tunnel", "Multi-key (same pkt field)"]
 
 _SWEEP = []
@@ -130,7 +127,7 @@ def test_worker_sweep_report(benchmark, report):
         w: sorted((r[1:]) for r in _SWEEP if r[0] == w)
         for w in WORKER_COUNTS
     }
-    lines = ["Worker sweep (steal schedule, Table-3 rows, Tofino profile)",
+    lines = ["Worker sweep (process portfolio, Table-3 rows, Tofino profile)",
              "  workers | per-row (status, entries, stages)"]
     for workers in WORKER_COUNTS:
         cells = ", ".join(

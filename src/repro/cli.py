@@ -159,7 +159,6 @@ def cmd_compile(args: argparse.Namespace) -> int:
     options = CompileOptions(
         total_max_seconds=args.timeout,
         parallel_workers=args.jobs,
-        schedule=getattr(args, "schedule", "steal"),
         seed=args.seed,
         checkpoint_dir=args.checkpoint_dir,
         resume=args.resume,
@@ -658,13 +657,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs", "--parallel-workers", dest="jobs", type=int, default=1,
         metavar="N",
         help="portfolio worker processes (1 = deterministic sequential)",
-    )
-    p_compile.add_argument(
-        "--schedule", choices=["steal", "static"], default="steal",
-        help="portfolio execution with --jobs > 1: 'steal' races "
-        "migratable (arm, budget slice) work units over a shared "
-        "counterexample bus; 'static' pins each arm to one pool worker "
-        "(A/B baseline)",
     )
     p_compile.add_argument("--seed", type=int, default=0)
     p_compile.add_argument(

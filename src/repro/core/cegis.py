@@ -70,30 +70,6 @@ class SynthesisTimeout(Exception):
         self.outcome = outcome
 
 
-class UnitCancelled(Exception):
-    """The work unit driving this search was cancelled (winner broadcast,
-    stale-runner discard, or shutdown).  Deliberately *not* a
-    :class:`SynthesisTimeout` or ``CompileFault``: cancellation must
-    unwind out of ``ParserHawkCompiler.compile`` untouched — it is a
-    scheduling outcome, never a compile result."""
-
-
-class SlicePacer:
-    """Unit-slice gate for migratable budget search (repro.core.stealing).
-
-    The budget loop calls :meth:`checkpoint` between budget attempts —
-    the exact points where all state is either warm-parked (sessions,
-    pool, retired set) or durable (checkpoint records), so a compile
-    suspended here can resume warm on the same worker or be rebuilt from
-    its checkpoint on another.  The base class never blocks; the steal
-    scheduler's pacer parks the calling thread until the next unit is
-    granted, and raises :class:`UnitCancelled` once the race is over.
-    """
-
-    def checkpoint(self) -> None:  # pragma: no cover - trivial default
-        return None
-
-
 @dataclass
 class CegisOutcome:
     program: Optional[TcamProgram]
@@ -102,8 +78,8 @@ class CegisOutcome:
     # Counterexamples re-applied from a checkpoint (repro.persist) before
     # live iterations started; they skip candidate decode + verification.
     replayed: int = 0
-    # Tests seeded up front from the shared TestPool (cross-budget /
-    # cross-arm reuse); each one is a CEGIS round-trip (SAT solve +
+    # Tests seeded up front from the shared TestPool (cross-budget
+    # reuse); each one is a CEGIS round-trip (SAT solve +
     # product-equivalence verification) this run did not have to make.
     pool_reused: int = 0
     # CNF clauses this run's solver received from the bit-blaster

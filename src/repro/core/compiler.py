@@ -42,7 +42,6 @@ from ..persist import (
 from ..resilience import CompileFault
 from .cegis import (
     CegisSession,
-    SlicePacer,
     SynthesisTimeout,
     synthesize_for_budget,
 )
@@ -59,7 +58,7 @@ from .result import (
     CompileStats,
 )
 from .skeleton import build_skeleton, entry_lower_bound
-from .testpool import ORIGIN_CEX, TestChannel, TestPool
+from .testpool import ORIGIN_CEX, TestPool
 from .verifier import VerificationBudgetExceeded, verify_equivalent
 
 
@@ -93,22 +92,8 @@ class ParserHawkCompiler:
         *,
         checkpoint_dir: Optional[str] = None,
         resume: Optional[bool] = None,
-        test_channel: Optional[TestChannel] = None,
-        pacer: Optional[SlicePacer] = None,
     ) -> CompileResult:
         """Compile ``spec`` for ``device``.
-
-        ``test_channel`` (optional) is the portfolio's cross-arm test
-        exchange: counterexamples this compile discovers are published to
-        it and sibling arms' finds (for the same prepared-spec bit
-        layout) are adopted between budget attempts — see
-        :mod:`repro.core.testpool`.
-
-        ``pacer`` (optional) is the steal scheduler's unit-slice gate: it
-        is consulted between budget attempts, may park this thread until
-        the next work unit is granted, and may raise
-        :class:`~repro.core.cegis.UnitCancelled` — which unwinds out of
-        this method untouched (a cancelled unit has no compile result).
 
         Persistence (both optional, see :mod:`repro.persist`):
 
@@ -174,7 +159,6 @@ class ParserHawkCompiler:
             try:
                 result = self._compile_scaled(
                     spec, device, options, stats, deadline, manager,
-                    test_channel, pacer,
                 )
             except CompileError as exc:
                 return CompileResult(
@@ -246,8 +230,6 @@ class ParserHawkCompiler:
         stats: CompileStats,
         deadline: Optional[float],
         manager: Optional[CheckpointManager] = None,
-        channel: Optional[TestChannel] = None,
-        pacer: Optional[SlicePacer] = None,
     ) -> CompileResult:
         arms = self._portfolio_arms(spec, device, options)
         tracer = get_tracer()
@@ -265,7 +247,7 @@ class ParserHawkCompiler:
                 )
                 result = self._search_budgets(
                     spec, synth_spec, plan, device, options, stats,
-                    deadline, allow_loops, manager, channel, pacer,
+                    deadline, allow_loops, manager,
                 )
             if result.ok:
                 return result
@@ -301,22 +283,19 @@ class ParserHawkCompiler:
         deadline: Optional[float],
         allow_loops: bool,
         manager: Optional[CheckpointManager] = None,
-        channel: Optional[TestChannel] = None,
-        pacer: Optional[SlicePacer] = None,
     ) -> CompileResult:
         # Checkpoint and pool state are keyed per (loop mode, prepared
         # spec): the counterexample inputs live in the *synthesis* spec's
         # bit layout (Opt2/Opt6 scaling changes it), so recorded tests
-        # must never cross layouts.  The layout fingerprint alone also
-        # tags cross-arm channel traffic: portfolio arms that prepare the
-        # same layout (e.g. §6.7.2 key-limit levels) exchange tests, arms
-        # with different layouts ignore each other's.
-        layout_key = spec_fingerprint(synth_spec)[:16]
-        arm_key = ("loop" if allow_loops else "fwd") + ":" + layout_key
+        # must never cross layouts.
+        arm_key = (
+            ("loop" if allow_loops else "fwd") + ":"
+            + spec_fingerprint(synth_spec)[:16]
+        )
         pool: Optional[TestPool] = None
         pool_bases: dict = {}
         if options.test_reuse:
-            pool = TestPool(synth_spec, layout_key=layout_key)
+            pool = TestPool(synth_spec)
             if manager is not None:
                 # Resume: rebuild the pool exactly as recorded (content
                 # AND order — budget runs are seeded from its prefixes,
@@ -386,12 +365,6 @@ class ParserHawkCompiler:
                 budget_key = (stage_budget, num_entries)
                 if budget_key in retired:
                     continue
-                if pacer is not None:
-                    # Unit boundary: everything is warm-parked or durable
-                    # here, so the steal scheduler may suspend this arm
-                    # (and later resume it on this worker or rebuild it
-                    # elsewhere from the checkpoint).
-                    pacer.checkpoint()
                 if deadline is not None and time.monotonic() > deadline:
                     raise SynthesisTimeout("compiler deadline exceeded")
                 if budget_key in attempted:
@@ -415,16 +388,6 @@ class ParserHawkCompiler:
                         slice_cap = min(
                             slice_cap, options.synthesis_max_seconds
                         )
-                    if pool is not None:
-                        # Adopt sibling arms' finds between attempts —
-                        # never mid-run, so a budget's solver state stays
-                        # a pure function of the pool prefix it seeded.
-                        drained = pool.drain(channel)
-                        if drained:
-                            tracer.count("tests.pool_shared_in", drained)
-                            # Each adopted test prunes this arm's search
-                            # without a local CEGIS round-trip.
-                            tracer.count("bus.pruned", drained)
                     session = warm_sessions.get(budget_key)
                     if session is not None:
                         # Warm continuation: the expired attempt's solver,
@@ -499,7 +462,6 @@ class ParserHawkCompiler:
                                 )
                             if pool is not None:
                                 pool.add(bits, ORIGIN_CEX)
-                                pool.publish(channel, bits)
 
                         session = CegisSession(
                             skeleton,

@@ -37,26 +37,16 @@ class CompileOptions:
     # §6.7 portfolio parallelism (loop-aware vs loop-free, key-limit levels).
     opt7_parallelism: bool = True
     parallel_workers: int = 1          # 1 = deterministic sequential portfolio
-    # Portfolio execution strategy when parallel_workers > 1:
-    # "steal"  — shard scheduler: arms are decomposed into (arm, budget
-    #            slice) work units that long-lived workers steal when idle;
-    #            parked sessions migrate across workers via the checkpoint
-    #            format (see repro.core.stealing);
-    # "static" — the PR-2 arm-per-future process pool, kept as the A/B
-    #            baseline and fallback.
-    # Pure placement: never changes which program a compile produces, so
-    # fingerprint.NON_SEMANTIC_OPTIONS excludes it from cache keys.
-    schedule: str = "steal"
     # Directed seed tests for CEGIS (our addition; the paper seeds with a
     # single random input/output pair, which the "Orig" arm reproduces).
     directed_seed_tests: bool = True
     # Incremental synthesis (repro.core.testpool): record every
     # counterexample and directed seed test once and replay the pool as
-    # up-front constraints into every subsequent budget's CEGIS run (and
-    # across portfolio arms sharing a bit layout).  Valid tests only ever
-    # prune spec-inequivalent candidates, so per-budget feasibility — and
-    # the minimal budget found — is unchanged; the knob exists for A/B
-    # measurement (CLI --no-test-reuse, benchmarks/bench_compile_speed).
+    # up-front constraints into every subsequent budget's CEGIS run.
+    # Valid tests only ever prune spec-inequivalent candidates, so
+    # per-budget feasibility — and the minimal budget found — is
+    # unchanged; the knob exists for A/B measurement (CLI
+    # --no-test-reuse, benchmarks/bench_compile_speed).
     test_reuse: bool = True
     # Equality-saturation normalization (PR 10, repro.ir.eqsat): after
     # the greedy canonicalize pass, build an e-graph over the spec,

@@ -5,19 +5,13 @@ loop-free arms (§6.7.1) and per-hardware-constraint-level arms (§6.7.2,
 e.g. one subproblem per transition-key width limit), halting as soon as
 any subproblem yields a valid outcome.
 
-``portfolio_compile`` reproduces that two ways, selected by
-``options.schedule``:
-
-* ``"steal"`` (default) — the work-stealing shard scheduler
-  (:mod:`repro.core.stealing`): arms decompose into migratable
-  (arm, budget slice) work units raced by long-lived workers, sharing
-  counterexamples over the :class:`~repro.core.testpool.CexBus`;
-* ``"static"`` — a ``ProcessPoolExecutor`` where each worker runs a full
-  sequential compile of one subproblem (the A/B baseline and fallback).
-
-The first valid success wins either way.  With
-``options.parallel_workers <= 1`` the portfolio degenerates to the
-deterministic sequential iteration the rest of the repo uses by default.
+``portfolio_compile`` reproduces that with a ``ProcessPoolExecutor``
+where each worker runs a full sequential compile of one subproblem.  The
+first valid success wins, and the workers still running losing arms are
+stopped then and there, so they never compete with whatever the caller
+runs next.  With ``options.parallel_workers <= 1`` the portfolio
+degenerates to the deterministic sequential iteration the rest of the
+repo uses by default.
 
 Resilience (see :mod:`repro.resilience`): the portfolio is the scaling
 path, so it must degrade instead of dying.
@@ -31,9 +25,9 @@ path, so it must degrade instead of dying.
   the not-yet-completed arms in-process, best priority first.
 * **Deadline enforcement** — ``options.total_max_seconds`` acts as a
   wall-clock watchdog: it bounds the ``as_completed`` wait, is threaded
-  into every arm's own options, and on expiry the portfolio returns its
-  best valid winner so far, or a ``STATUS_TIMEOUT`` result naming the
-  arms that were still running.
+  into every arm's own options, and on expiry the portfolio stops the
+  arms still running and returns its best valid winner so far, or a
+  ``STATUS_TIMEOUT`` result naming them.
 
 Tracing: each arm runs under a ``portfolio.arm`` span.  Worker processes
 cannot share the parent's tracer, so when tracing is enabled each worker
@@ -45,8 +39,6 @@ grafts the spans under its own trace and merges the counters.
 from __future__ import annotations
 
 import concurrent.futures
-import shutil
-import tempfile
 import time
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -66,8 +58,6 @@ from ..resilience import CompileFault, PoolBroken
 from ..resilience import injection as _injection
 from ..resilience.injection import fault_point
 from .options import CompileOptions
-from .stealing import run_stealing
-from .testpool import TestChannel, start_bus
 from .result import (
     STATUS_FAULT,
     STATUS_INFEASIBLE,
@@ -149,7 +139,6 @@ def _run_subproblem(
     subproblem: Subproblem,
     trace: bool = False,
     faults: Optional[list] = None,
-    channel: Optional[TestChannel] = None,
 ) -> ArmOutcome:
     # Imported here so worker processes resolve it after fork/spawn.
     from .compiler import ParserHawkCompiler
@@ -162,7 +151,7 @@ def _run_subproblem(
     compiler = ParserHawkCompiler(subproblem.options)
     if not trace:
         return subproblem.priority, compiler.compile(
-            spec, subproblem.device, test_channel=channel
+            spec, subproblem.device
         ), None, None
     # Worker-side tracer: serialized back for the parent to merge.
     tracer = Tracer()
@@ -172,9 +161,7 @@ def _run_subproblem(
             label=subproblem.label,
             priority=subproblem.priority,
         ) as arm_span:
-            result = compiler.compile(
-                spec, subproblem.device, test_channel=channel
-            )
+            result = compiler.compile(spec, subproblem.device)
     return (
         subproblem.priority,
         result,
@@ -298,7 +285,6 @@ def _run_arms_inline(
     deadline: Optional[float],
     results: List[Tuple[int, CompileResult]],
     on_result=None,
-    channel: Optional[TestChannel] = None,
 ) -> List[str]:
     """Run arms in-process, best priority first, under supervision.
 
@@ -319,8 +305,7 @@ def _run_arms_inline(
         ) as arm_span:
             try:
                 _priority, result, _spans, _counters = _run_subproblem(
-                    spec, bounded, False, None,
-                    channel,
+                    spec, bounded
                 )
             except Exception as exc:
                 result = _arm_failure(sub, exc, device)
@@ -334,6 +319,26 @@ def _run_arms_inline(
     return []
 
 
+def _stop_pool(pool: concurrent.futures.ProcessPoolExecutor) -> None:
+    """Shut ``pool`` down and kill its workers, busy or idle.
+
+    ``shutdown(cancel_futures=True)`` alone only drops arms that never
+    started: a losing arm already running would keep its worker busy
+    until its own budgets expire, competing with whatever the caller runs
+    next.  Killing loses nothing, because checkpoint and cache writes are
+    atomic renames.  This is what ``ProcessPoolExecutor.kill_workers``
+    does from Python 3.14 on; before that the workers are only reachable
+    through ``_processes``, read before ``shutdown`` clears it.  The join
+    waits for each worker to die, not for the executor's own bookkeeping.
+    """
+    workers = list((getattr(pool, "_processes", None) or {}).values())
+    pool.shutdown(wait=False, cancel_futures=True)
+    for proc in workers:
+        proc.kill()
+    for proc in workers:
+        proc.join(timeout=1.0)
+
+
 def _run_pooled(
     spec: ParserSpec,
     subproblems: Sequence[Subproblem],
@@ -343,14 +348,14 @@ def _run_pooled(
     workers: int,
     results: List[Tuple[int, CompileResult]],
     on_result=None,
-    channel: Optional[TestChannel] = None,
 ) -> List[str]:
     """Race arms across a process pool; returns still-pending labels.
 
     Supervision: a worker exception becomes that arm's ``STATUS_FAULT``
     result; a broken pool re-runs the not-yet-completed arms in-process;
     an unavailable pool degrades to the sequential path; a deadline expiry
-    returns the labels of unfinished arms for the partial result."""
+    returns the labels of unfinished arms for the partial result.  On
+    every exit the pool is stopped, so no losing arm outlives the race."""
     try:
         fault_point("portfolio.pool")
         pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
@@ -362,38 +367,62 @@ def _run_pooled(
         ):
             return _run_arms_inline(
                 spec, subproblems, device, tracer, deadline, results,
-                on_result, channel,
+                on_result,
             )
 
     faults = _injection.snapshot() or None
     futures: Dict[concurrent.futures.Future, Subproblem] = {}
     completed: Set[int] = set()
-    broken: Optional[BaseException] = None
     expired: List[Subproblem] = []
+
+    def collect(future: concurrent.futures.Future, sub: Subproblem) -> bool:
+        """Record one finished arm; returns whether it won the race.
+        ``BrokenProcessPool`` propagates: the pool, not the arm, failed."""
+        try:
+            priority, result, spans, counters = future.result(timeout=0)
+        except BrokenProcessPool:
+            raise
+        except Exception as exc:
+            # Supervision: the arm failed (worker raised, or its outcome
+            # could not be pickled back) — record a per-arm failure.
+            priority, spans, counters = sub.priority, None, None
+            result = _arm_failure(sub, exc, device)
+            with tracer.span(
+                "portfolio.arm.fault",
+                label=sub.label,
+                priority=sub.priority,
+                error=result.message,
+            ):
+                pass
+            tracer.count("portfolio.arm_faults")
+        completed.add(sub.priority)
+        if spans is not None:
+            tracer.attach(spans)
+        if counters is not None and tracer.enabled:
+            tracer.registry.merge(counters)
+        results.append((priority, result))
+        if on_result is not None:
+            on_result(priority, result)
+        return _valid_winner(result, device)
+
+    broken: Optional[BaseException] = None
     try:
         try:
             for sub in subproblems:
                 bounded = _with_deadline(sub, deadline)
                 if bounded is None:
                     # The deadline expired before this arm could even be
-                    # submitted: never launch it (the old code clamped it
-                    # to a token 0.01 s budget and launched anyway).
+                    # submitted: never launch it.
                     expired.append(sub)
                     tracer.count("portfolio.deadline_expired")
                     continue
                 futures[pool.submit(
-                    _run_subproblem,
-                    spec,
-                    bounded,
-                    tracer.enabled,
-                    faults,
-                    channel,
+                    _run_subproblem, spec, bounded, tracer.enabled, faults,
                 )] = sub
         except (BrokenProcessPool,) + _POOL_UNAVAILABLE_ERRORS as exc:
+            # Submission only: the deadline's TimeoutError is an OSError
+            # too, and must not read as a broken pool.
             broken = exc
-        expired_labels = [
-            s.label for s in sorted(expired, key=lambda s: s.priority)
-        ]
         if broken is None:
             timeout = (
                 None if deadline is None
@@ -403,40 +432,10 @@ def _run_pooled(
                 for future in concurrent.futures.as_completed(
                     futures, timeout=timeout
                 ):
-                    sub = futures[future]
-                    try:
-                        priority, result, spans, counters = future.result()
-                    except BrokenProcessPool as exc:
-                        broken = exc
-                        break
-                    except Exception as exc:
-                        # Supervision: the arm failed (worker raised, or
-                        # its outcome could not be pickled back) — record
-                        # a per-arm failure, keep racing the rest.
-                        priority = sub.priority
-                        result = _arm_failure(sub, exc, device)
-                        spans = counters = None
-                        with tracer.span(
-                            "portfolio.arm.fault",
-                            label=sub.label,
-                            priority=sub.priority,
-                            error=result.message,
-                        ):
-                            pass
-                        tracer.count("portfolio.arm_faults")
-                    completed.add(sub.priority)
-                    if spans is not None:
-                        tracer.attach(spans)
-                    if counters is not None and tracer.enabled:
-                        tracer.registry.merge(counters)
-                    results.append((priority, result))
-                    if on_result is not None:
-                        on_result(priority, result)
-                    if _valid_winner(result, device):
-                        # First valid success wins; cancel stragglers.
-                        for other in futures:
-                            other.cancel()
-                        return expired_labels
+                    if collect(future, futures[future]):
+                        break   # first valid success wins
+            except BrokenProcessPool as exc:
+                broken = exc
             except concurrent.futures.TimeoutError:
                 tracer.count("portfolio.deadline_expired")
                 # Harvest arms that finished but were not yet yielded by
@@ -444,67 +443,40 @@ def _run_pooled(
                 # not be reported as "still running" (or dropped when
                 # one of them is the winner).
                 for future, sub in futures.items():
-                    if (
-                        sub.priority in completed
-                        or future.cancelled()
-                        or not future.done()
-                    ):
+                    if sub.priority in completed or not future.done():
                         continue
                     try:
-                        priority, result, spans, counters = future.result(
-                            timeout=0
-                        )
-                    except Exception as exc:
-                        priority = sub.priority
-                        result = _arm_failure(sub, exc, device)
-                        spans = counters = None
-                        with tracer.span(
-                            "portfolio.arm.fault",
-                            label=sub.label,
-                            priority=sub.priority,
-                            error=result.message,
-                        ):
-                            pass
-                        tracer.count("portfolio.arm_faults")
-                    completed.add(sub.priority)
-                    if spans is not None:
-                        tracer.attach(spans)
-                    if counters is not None and tracer.enabled:
-                        tracer.registry.merge(counters)
-                    results.append((priority, result))
-                    if on_result is not None:
-                        on_result(priority, result)
-                for other in futures:
-                    other.cancel()
+                        collect(future, sub)
+                    except BrokenProcessPool:
+                        pass    # never finished: still running
                 return [
                     s.label
-                    for s in sorted(
-                        subproblems, key=lambda s: s.priority
-                    )
+                    for s in sorted(subproblems, key=lambda s: s.priority)
                     if s.priority not in completed
                 ]
-        if broken is not None:
-            # The pool died under us (a worker was killed, fork failed
-            # mid-run, a result was unpicklable at the pool layer).
-            # Re-run every arm that never completed in-process, best
-            # priority first; the injection registry's "subprocess"
-            # scope keeps worker-killing test faults from re-firing here.
-            tracer.count("portfolio.pool_broken")
-            remaining = [
-                s for s in subproblems if s.priority not in completed
-            ]
-            with tracer.span(
-                "portfolio.recovery",
-                reason=f"{type(broken).__name__}: {broken}",
-                arms=len(remaining),
-            ):
-                return _run_arms_inline(
-                    spec, remaining, device, tracer, deadline, results,
-                    on_result, channel,
-                )
-        return expired_labels
     finally:
-        pool.shutdown(wait=False, cancel_futures=True)
+        _stop_pool(pool)
+
+    if broken is not None:
+        # The pool died under us (a worker was killed, fork failed
+        # mid-run, a result was unpicklable at the pool layer).  Re-run
+        # every arm that never completed in-process, best priority first;
+        # the injection registry's "subprocess" scope keeps worker-killing
+        # test faults from re-firing here.
+        tracer.count("portfolio.pool_broken")
+        remaining = [
+            s for s in subproblems if s.priority not in completed
+        ]
+        with tracer.span(
+            "portfolio.recovery",
+            reason=f"{type(broken).__name__}: {broken}",
+            arms=len(remaining),
+        ):
+            return _run_arms_inline(
+                spec, remaining, device, tracer, deadline, results,
+                on_result,
+            )
+    return [s.label for s in sorted(expired, key=lambda s: s.priority)]
 
 
 def portfolio_compile(
@@ -534,7 +506,6 @@ def portfolio_compile(
     options = options or CompileOptions()
     subproblems = derive_subproblems(spec, device, options)
     workers = max(1, options.parallel_workers)
-    use_steal = workers > 1 and options.schedule != "static"
     tracer = get_tracer()
     deadline = (
         time.monotonic() + options.total_max_seconds
@@ -568,36 +539,6 @@ def portfolio_compile(
             for sub in subproblems
         ]
 
-    # The steal scheduler migrates arms between workers through the
-    # checkpoint format; without a user-provided checkpoint root, give
-    # each arm a scratch one so migration still resumes instead of
-    # restarting cold.  (A small flush interval amortizes the per-record
-    # writes on the hot path.)
-    scratch_root: Optional[str] = None
-    if use_steal and not options.checkpoint_dir:
-        try:
-            scratch_root = tempfile.mkdtemp(prefix="repro-steal-")
-        except OSError:
-            scratch_root = None
-        if scratch_root is not None:
-            subproblems = [
-                Subproblem(
-                    sub.label,
-                    sub.device,
-                    sub.options.with_(
-                        checkpoint_dir=str(arm_checkpoint_dir(
-                            scratch_root, sub.label
-                        )),
-                        checkpoint_interval_seconds=max(
-                            0.25,
-                            sub.options.checkpoint_interval_seconds,
-                        ),
-                    ),
-                    sub.priority,
-                )
-                for sub in subproblems
-            ]
-
     label_of = {sub.priority: sub.label for sub in subproblems}
     results: List[Tuple[int, CompileResult]] = []
     to_run = subproblems
@@ -627,60 +568,18 @@ def portfolio_compile(
                 result.message,
             )
 
-    # Cross-arm test exchange (see repro.core.testpool): arms sharing a
-    # spec layout adopt each other's counterexamples between budget
-    # attempts, over a CexBus.  Inline arms share an in-process bus;
-    # worker processes hold a manager proxy for it (one round-trip per
-    # publish/fetch, deduped and sliced per topic server-side).
-    # Best-effort throughout — environments that cannot start a manager
-    # just race without sharing.
-    channel: Optional[TestChannel] = None
-    mp_manager = None
-    if options.test_reuse and len(to_run) > 1:
+    with tracer.span(
+        "portfolio", arms=len(subproblems), workers=workers
+    ):
         if workers == 1:
-            channel = TestChannel()
+            pending = _run_arms_inline(
+                spec, to_run, device, tracer, deadline, results, record_arm,
+            )
         else:
-            try:
-                mp_manager, bus = start_bus()
-                channel = TestChannel(bus)
-            except Exception:
-                tracer.count("portfolio.channel_unavailable")
-                mp_manager = None
-                channel = None
-
-    pending: List[str] = []
-    try:
-        with tracer.span(
-            "portfolio",
-            arms=len(subproblems),
-            workers=workers,
-            schedule="steal" if use_steal else (
-                "static" if workers > 1 else "sequential"
-            ),
-        ):
-            if workers == 1:
-                pending = _run_arms_inline(
-                    spec, to_run, device, tracer, deadline, results,
-                    record_arm, channel,
-                )
-            elif use_steal:
-                pending = run_stealing(
-                    spec, to_run, device, tracer, deadline, workers,
-                    results, record_arm, channel, manager,
-                )
-            else:
-                pending = _run_pooled(
-                    spec, to_run, device, tracer, deadline, workers,
-                    results, record_arm, channel,
-                )
-    finally:
-        if mp_manager is not None:
-            try:
-                mp_manager.shutdown()
-            except Exception:
-                pass
-        if scratch_root is not None:
-            shutil.rmtree(scratch_root, ignore_errors=True)
+            pending = _run_pooled(
+                spec, to_run, device, tracer, deadline, workers, results,
+                record_arm,
+            )
 
     result = select_result(subproblems, results, device, pending=pending)
     if manager is not None:

@@ -34,7 +34,7 @@ class CompileStats:
     # solver round without the decode/verify half of a live iteration).
     cegis_replayed: int = 0
     # Tests replayed from the shared TestPool as up-front constraints
-    # (cross-budget / cross-arm reuse); each one is a CEGIS round-trip
+    # (cross-budget reuse); each one is a CEGIS round-trip
     # (solve + equivalence verification) that never had to happen.
     pool_tests_reused: int = 0
     sat_conflicts: int = 0

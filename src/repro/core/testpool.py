@@ -1,4 +1,4 @@
-"""Shared test pool: cross-budget / cross-arm counterexample reuse.
+"""Shared test pool: cross-budget counterexample reuse.
 
 Counterexamples and directed seed tests are semantic properties of the
 *specification*, not of the resource budget that happened to discover
@@ -20,20 +20,7 @@ re-discovery round-trips disappear.
 
 Pools are strictly per bit **layout**: counterexample inputs live in the
 *synthesis* spec's bit positions, and Opt2/Opt6 scaling changes that
-layout per portfolio arm.  Arms that share a prepared-spec layout (e.g.
-the key-limit levels of §6.7.2, which differ only in device limits)
-exchange tests mid-race through a :class:`TestChannel` over a
-:class:`CexBus` — a topic-addressed exchange keyed by layout fingerprint.
-The bus dedupes on publish (every arm republishes shared tests, so the
-old single shared list grew without bound) and serves fetches from
-per-topic lists with per-consumer cursors, so one fetch ships exactly the
-new entries for that layout instead of the whole tail filtered
-client-side.  For the process portfolio the bus lives in a
-``multiprocessing`` manager server (:func:`start_bus`) and workers hold a
-proxy: one round-trip per publish/fetch, drained at slice granularity.
-The bus also carries compile-scoped flags: a winner broadcast
-(:meth:`TestChannel.announce_winner`) tells every in-flight work unit of
-the same compile to stand down.
+layout per portfolio arm, so each arm's budget search keeps its own pool.
 
 Determinism contract (crash-resume): the pool's *content and insertion
 order* at the moment each budget's run starts is what that run's solver
@@ -45,10 +32,8 @@ resumed run reconstructs exactly that prefix — see
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
-from multiprocessing.managers import BaseManager
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..ir.bits import Bits
 from ..ir.simulator import OUTCOME_OVERRUN, ParseResult, simulate_spec
@@ -56,7 +41,6 @@ from ..ir.spec import ParserSpec
 
 ORIGIN_SEED = "seed"     # directed seed test (initial_tests)
 ORIGIN_CEX = "cex"       # CEGIS counterexample (verifier)
-ORIGIN_SHARED = "shared"  # adopted from a sibling arm via the channel
 
 
 @dataclass
@@ -78,24 +62,19 @@ class PoolStats:
     duplicates: int = 0
     seeds: int = 0
     counterexamples: int = 0
-    shared_in: int = 0
     replayed: int = 0        # entries handed out as up-front constraints
 
 
 class TestPool:
     """Insertion-ordered, deduplicated set of tests for one spec layout."""
 
-    def __init__(self, spec: ParserSpec, layout_key: str = "") -> None:
+    def __init__(self, spec: ParserSpec) -> None:
         self.spec = spec
-        self.layout_key = layout_key
         self._entries: Dict[Tuple[int, int], PoolEntry] = {}
         self.stats = PoolStats()
         # Invoked with each genuinely new entry — the checkpoint layer's
         # hook for making the pool durable in insertion order.
         self.on_add: Optional[Callable[[PoolEntry], None]] = None
-        # Cursor into the cross-arm channel (entries before it were
-        # already drained).
-        self._channel_pos = 0
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -118,8 +97,6 @@ class TestPool:
         self.stats.added += 1
         if origin == ORIGIN_SEED:
             self.stats.seeds += 1
-        elif origin == ORIGIN_SHARED:
-            self.stats.shared_in += 1
         else:
             self.stats.counterexamples += 1
         if self.on_add is not None:
@@ -177,166 +154,3 @@ class TestPool:
         return any(
             e.origin == ORIGIN_SEED for e in self.prefix(size)
         )
-
-    # -- cross-arm exchange --------------------------------------------
-    def drain(self, channel: Optional["TestChannel"]) -> int:
-        """Adopt new channel entries published for this pool's layout.
-
-        Returns how many genuinely new tests were adopted.  Never raises:
-        a broken channel (dead manager process) simply stops supplying."""
-        if channel is None or not self.layout_key:
-            return 0
-        self._channel_pos, items = channel.fetch(
-            self.layout_key, self._channel_pos
-        )
-        adopted = 0
-        for value, length in items:
-            if self.add(Bits(value, length), ORIGIN_SHARED):
-                adopted += 1
-        return adopted
-
-    def publish(
-        self, channel: Optional["TestChannel"], bits: Bits
-    ) -> None:
-        if channel is None or not self.layout_key:
-            return
-        channel.publish(self.layout_key, bits)
-
-
-class CexBus:
-    """Server side of the cross-worker counterexample exchange.
-
-    Topics are layout fingerprints; each topic is an insertion-ordered,
-    publish-deduplicated list of ``(value, length)`` pairs.  A consumer's
-    cursor indexes into *its* topic only, so a fetch ships exactly the
-    entries that are both new to that consumer and meaningful in its
-    layout — never the whole tail.  Thread-safe because the manager
-    server dispatches each client connection on its own thread (and the
-    in-process portfolio shares one instance across arms directly).
-
-    Flags are compile-scoped broadcast bits (winner announcements); they
-    piggyback on the bus so cancellation reaches any worker that can
-    already reach the exchange.
-    """
-
-    def __init__(self) -> None:
-        self._topics: Dict[str, List[Tuple[int, int]]] = {}
-        self._seen: Dict[str, set] = {}
-        self._flags: set = set()
-        self._lock = threading.Lock()
-        self._stats = {
-            "published": 0, "duplicates": 0, "fetches": 0, "shipped": 0,
-        }
-
-    def publish(self, topic: str, value: int, length: int) -> bool:
-        """Record one test for ``topic``; returns True if it was new."""
-        with self._lock:
-            seen = self._seen.setdefault(topic, set())
-            if (value, length) in seen:
-                self._stats["duplicates"] += 1
-                return False
-            seen.add((value, length))
-            self._topics.setdefault(topic, []).append((value, length))
-            self._stats["published"] += 1
-            return True
-
-    def fetch(
-        self, topic: str, cursor: int
-    ) -> Tuple[int, List[Tuple[int, int]]]:
-        """Entries for ``topic`` past ``cursor`` plus the new cursor."""
-        with self._lock:
-            entries = self._topics.get(topic, ())
-            items = list(entries[cursor:])
-            self._stats["fetches"] += 1
-            self._stats["shipped"] += len(items)
-            return cursor + len(items), items
-
-    def announce(self, flag: str) -> None:
-        with self._lock:
-            self._flags.add(flag)
-
-    def flagged(self, flag: str) -> bool:
-        with self._lock:
-            return flag in self._flags
-
-    def size(self) -> int:
-        """Total unique entries across all topics."""
-        with self._lock:
-            return sum(len(v) for v in self._topics.values())
-
-    def stats(self) -> Dict[str, int]:
-        with self._lock:
-            return dict(self._stats)
-
-
-class _BusManager(BaseManager):
-    """Manager hosting one :class:`CexBus` for a process portfolio."""
-
-
-_BusManager.register("CexBus", CexBus)
-
-
-def start_bus() -> Tuple[_BusManager, Any]:
-    """Start a bus server; returns ``(manager, bus proxy)``.
-
-    The proxy pickles into worker processes; every call is one manager
-    round-trip.  Callers must ``manager.shutdown()`` when done.  Raises
-    whatever ``multiprocessing`` raises in environments that cannot
-    start a manager — callers degrade to running without sharing.
-    """
-    manager = _BusManager()
-    manager.start()
-    return manager, manager.CexBus()
-
-
-class TestChannel:
-    """Never-raising client handle over a :class:`CexBus`.
-
-    ``bus`` is either an in-process :class:`CexBus` (inline arms, or one
-    constructed implicitly when omitted) or a manager proxy for it
-    (process portfolio).  All operations are best-effort: a dead manager
-    makes the channel silently inert rather than failing the compile.
-    """
-
-    def __init__(self, bus: Optional[Any] = None) -> None:
-        self._bus = bus if bus is not None else CexBus()
-
-    def publish(self, layout_key: str, bits: Bits) -> None:
-        try:
-            self._bus.publish(layout_key, bits.uint(), len(bits))
-        except Exception:
-            pass
-
-    def fetch(
-        self, layout_key: str, start: int
-    ) -> Tuple[int, List[Tuple[int, int]]]:
-        """New entries on this layout's topic from cursor ``start``;
-        returns the advanced cursor plus the (value, length) pairs."""
-        try:
-            return self._bus.fetch(layout_key, start)
-        except Exception:
-            return start, []
-
-    def announce_winner(self, group: str) -> None:
-        try:
-            self._bus.announce("winner:" + group)
-        except Exception:
-            pass
-
-    def winner_declared(self, group: str) -> bool:
-        try:
-            return self._bus.flagged("winner:" + group)
-        except Exception:
-            return False
-
-    def stats(self) -> Dict[str, int]:
-        try:
-            return self._bus.stats()
-        except Exception:
-            return {}
-
-    def __len__(self) -> int:
-        try:
-            return self._bus.size()
-        except Exception:
-            return 0

@@ -275,26 +275,6 @@ class CheckpointManager:
             return None
         return arm["slice_seconds"]
 
-    # -- migratable work units (steal scheduler) ---------------------------
-    def record_unit(self, label: str, worker: int, slice_index: int) -> None:
-        """Append one dispatched (arm, budget slice) work unit.
-
-        The unit log makes a killed steal-scheduled portfolio auditable:
-        it records which worker held which arm at which slice, so a
-        resume (or a post-mortem) can tell warm continuations from
-        checkpoint-replay migrations.  Entries are ``[label, worker,
-        slice_index]`` in dispatch order."""
-        units = self.state.setdefault("units", [])
-        units.append([label, worker, slice_index])
-        self._dirty = True
-        self.flush()
-
-    def unit_history(self) -> List[Tuple[str, int, int]]:
-        return [
-            (label, worker, slice_index)
-            for label, worker, slice_index in self.state.get("units", [])
-        ]
-
     # -- portfolio manifest ------------------------------------------------
     def record_arm_result(
         self, label: str, status: str, message: str = ""

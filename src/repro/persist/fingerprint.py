@@ -45,7 +45,6 @@ CANONICAL_VERSION = 1
 NON_SEMANTIC_OPTIONS = frozenset(
     {
         "parallel_workers",
-        "schedule",
         "total_max_seconds",
         "checkpoint_dir",
         "resume",

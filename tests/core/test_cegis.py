@@ -210,7 +210,7 @@ class TestPoolReplayInCegis:
 
     def test_pool_seeds_replace_live_iterations(self, dispatch):
         synth, skeleton = self._skeleton(dispatch)
-        pool = SharedPool(synth, layout_key="t")
+        pool = SharedPool(synth)
         first = synthesize_for_budget(
             skeleton,
             random.Random(0),
@@ -235,7 +235,7 @@ class TestPoolReplayInCegis:
 
     def test_pool_base_freezes_the_replay_prefix(self, dispatch):
         synth, skeleton = self._skeleton(dispatch)
-        pool = SharedPool(synth, layout_key="t")
+        pool = SharedPool(synth)
         pool.add(Bits(0x01, 8))
         base = len(pool)
         pool.add(Bits(0x02, 8))   # arrives after the attempt started

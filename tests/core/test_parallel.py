@@ -143,48 +143,40 @@ class TestPortfolioCompile:
         # … and their counters merged into the parent registry.
         assert tracer.registry.get("sat.solves") >= 1
 
-    def test_schedule_flag_routes_to_the_right_scheduler(
+    def test_worker_count_routes_to_the_right_executor(
         self, dispatch_spec, monkeypatch
     ):
         from repro.core import parallel as par
 
         calls = []
 
-        def fake_steal(spec, subs, device, tracer, deadline, workers,
-                       results, on_result=None, channel=None, manager=None):
-            calls.append("steal")
-            results.append((subs[0].priority, _ok()))
-            return []
-
         def fake_pooled(spec, subs, device, tracer, deadline, workers,
-                        results, on_result=None, channel=None):
-            calls.append("static")
+                        results, on_result=None):
+            calls.append("pool")
             results.append((subs[0].priority, _ok()))
             return []
 
         def fake_inline(spec, subs, device, tracer, deadline, results,
-                        on_result=None, channel=None):
+                        on_result=None):
             calls.append("sequential")
             results.append((subs[0].priority, _ok()))
             return []
 
-        monkeypatch.setattr(par, "run_stealing", fake_steal)
         monkeypatch.setattr(par, "_run_pooled", fake_pooled)
         monkeypatch.setattr(par, "_run_arms_inline", fake_inline)
         for options in (
-            CompileOptions(parallel_workers=2),                    # default
-            CompileOptions(parallel_workers=2, schedule="static"),
-            CompileOptions(parallel_workers=1),   # single stream wins over
+            CompileOptions(parallel_workers=2),
+            CompileOptions(parallel_workers=1),
         ):
             assert par.portfolio_compile(dispatch_spec, DEVICE, options).ok
-        assert calls == ["steal", "static", "sequential"]
+        assert calls == ["pool", "sequential"]
 
     def test_sequential_path_falls_back_past_violating_winner(
         self, dispatch_spec, monkeypatch
     ):
         from repro.core import parallel as par
 
-        def fake_run(spec, sub, trace=False, faults=None, channel=None):
+        def fake_run(spec, sub, trace=False, faults=None):
             # The highest-priority arm "wins" with a program that violates
             # the real device; the next arm wins cleanly.
             violations = ["key too wide"] if sub.priority == 0 else []
@@ -254,7 +246,7 @@ class TestSelectResult:
         monkeypatch.setattr(
             par,
             "_run_subproblem",
-            lambda spec, sub, trace=False, faults=None, channel=None: (
+            lambda spec, sub, trace=False, faults=None: (
                 sub.priority, winner, None, None
             ),
         )
@@ -283,3 +275,57 @@ class TestSelectResult:
             DEVICE,
         )
         assert "arm#7: timeout" in out.message
+
+
+class TestExecutorEquivalence:
+    """The process pool and the sequential path land on identical winners
+    (``parallel_workers`` is excluded from semantic fingerprints)."""
+
+    def test_static_pool_matches_sequential(self, dispatch_spec):
+        sequential = portfolio_compile(
+            dispatch_spec, DEVICE, CompileOptions(parallel_workers=1, seed=7)
+        )
+        assert sequential.ok
+        pooled = portfolio_compile(
+            dispatch_spec,
+            DEVICE,
+            CompileOptions(parallel_workers=2, total_max_seconds=300, seed=7),
+        )
+        assert pooled.ok, pooled.message
+        assert pooled.program.check_constraints(DEVICE) == []
+        assert pooled.num_entries == sequential.num_entries
+        assert pooled.num_stages == sequential.num_stages
+
+    @pytest.mark.slow
+    def test_static_pool_matches_sequential_on_table3_rows(self):
+        from repro.benchgen import TABLE3_ROWS
+
+        picked = [
+            b for b in TABLE3_ROWS
+            if b.base in ("parse_ethernet", "pure_extraction")
+            and not b.mutations
+        ]
+        assert picked
+        for bench in picked:
+            spec = bench.spec()
+            by_workers = {}
+            for workers in (1, 2):
+                result = portfolio_compile(
+                    spec,
+                    DEVICE,
+                    CompileOptions(
+                        parallel_workers=workers,
+                        total_max_seconds=300,
+                        seed=11,
+                    ),
+                )
+                assert result.ok, (bench.row_label, workers, result.message)
+                by_workers[workers] = result
+            sequential, pooled = by_workers[1], by_workers[2]
+            assert pooled.status == sequential.status, bench.row_label
+            assert pooled.num_entries == sequential.num_entries, (
+                bench.row_label
+            )
+            assert pooled.num_stages == sequential.num_stages, (
+                bench.row_label
+            )

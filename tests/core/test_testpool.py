@@ -1,5 +1,4 @@
-"""TestPool / TestChannel: dedup, prefix semantics, memoized
-expectations, and the best-effort cross-arm exchange."""
+"""TestPool: dedup, prefix semantics and memoized expectations."""
 
 from __future__ import annotations
 
@@ -7,9 +6,7 @@ import pytest
 
 # Aliased so pytest doesn't try to collect the production classes
 # (their names match its Test* pattern).
-from repro.core.testpool import ORIGIN_CEX, ORIGIN_SEED, ORIGIN_SHARED
-from repro.core.testpool import CexBus
-from repro.core.testpool import TestChannel as Channel
+from repro.core.testpool import ORIGIN_CEX, ORIGIN_SEED
 from repro.core.testpool import TestPool as Pool
 from repro.ir import Bits, parse_spec, simulate_spec
 
@@ -50,10 +47,9 @@ class TestPoolBasics:
         pool = Pool(spec)
         pool.add(Bits(1, 4), ORIGIN_SEED)
         pool.add(Bits(2, 4), ORIGIN_CEX)
-        pool.add(Bits(3, 4), ORIGIN_SHARED)
+        pool.add(Bits(3, 4))
         assert pool.stats.seeds == 1
-        assert pool.stats.counterexamples == 1
-        assert pool.stats.shared_in == 1
+        assert pool.stats.counterexamples == 2
 
     def test_prefix_preserves_insertion_order(self, spec):
         pool = Pool(spec)
@@ -115,143 +111,3 @@ class TestPoolExpectations:
         pool.add(Bits(0x02, 8))
         replayed = pool.tests(max_steps=16, size=1)
         assert [bits for bits, _e, _o in replayed] == [Bits(0x01, 8)]
-
-
-class TestCrossArmChannel:
-    def test_publish_and_drain(self, spec):
-        channel = Channel()
-        a = Pool(spec, layout_key="arm-a")
-        b = Pool(spec, layout_key="arm-a")
-        a.add(Bits(0x8F, 8))
-        a.publish(channel, Bits(0x8F, 8))
-        assert b.drain(channel) == 1
-        (entry,) = b.entries()
-        assert entry.bits == Bits(0x8F, 8)
-        assert entry.origin == ORIGIN_SHARED
-        # Cursor advanced: nothing new on a second drain.
-        assert b.drain(channel) == 0
-
-    def test_layout_mismatch_not_adopted(self, spec):
-        channel = Channel()
-        a = Pool(spec, layout_key="arm-a")
-        other = Pool(spec, layout_key="arm-b")
-        a.publish(channel, Bits(0x8F, 8))
-        assert other.drain(channel) == 0
-        assert len(other) == 0
-
-    def test_drain_dedups_against_local_pool(self, spec):
-        channel = Channel()
-        pool = Pool(spec, layout_key="arm-a")
-        pool.add(Bits(0x8F, 8), ORIGIN_CEX)
-        channel.publish("arm-a", Bits(0x8F, 8))
-        assert pool.drain(channel) == 0
-        (entry,) = pool.entries()
-        assert entry.origin == ORIGIN_CEX   # local discovery wins
-
-    def test_unkeyed_pool_ignores_channel(self, spec):
-        channel = Channel()
-        channel.publish("arm-a", Bits(1, 4))
-        pool = Pool(spec)   # no layout key: sharing disabled
-        assert pool.drain(channel) == 0
-        pool.publish(channel, Bits(2, 4))
-        assert len(channel) == 1
-
-    def test_broken_backing_is_silently_inert(self, spec):
-        class Broken:
-            def publish(self, *_args):
-                raise ConnectionResetError("manager died")
-
-            def fetch(self, *_args):
-                raise ConnectionResetError("manager died")
-
-            def size(self):
-                raise ConnectionResetError("manager died")
-
-        channel = Channel(Broken())
-        pool = Pool(spec, layout_key="arm-a")
-        pool.publish(channel, Bits(1, 4))      # must not raise
-        assert pool.drain(channel) == 0
-        assert len(channel) == 0
-
-
-class _CountingBus:
-    """CexBus wrapper that counts method invocations.
-
-    Over a manager proxy every bus method call is exactly one server
-    round-trip, so the counts here are the cross-process traffic the
-    channel would generate."""
-
-    def __init__(self):
-        self.inner = CexBus()
-        self.calls = 0
-
-    def __getattr__(self, name):
-        method = getattr(self.inner, name)
-
-        def counted(*args, **kwargs):
-            self.calls += 1
-            return method(*args, **kwargs)
-
-        return counted
-
-
-class TestBusTraffic:
-    """Regressions for the old shared-list channel: the backing grew
-    without bound (every arm republished shared tests) and every drain
-    shipped the whole tail for client-side layout filtering."""
-
-    def test_publish_dedupes_on_the_bus(self):
-        bus = CexBus()
-        assert bus.publish("arm-a", 0x8F, 8) is True
-        assert bus.publish("arm-a", 0x8F, 8) is False
-        assert bus.publish("arm-a", 0x8F, 4) is True   # length matters
-        assert bus.publish("arm-b", 0x8F, 8) is True   # per-topic dedup
-        assert bus.size() == 3
-        assert bus.stats()["duplicates"] == 1
-
-    def test_republishing_adopted_tests_does_not_grow_the_bus(self, spec):
-        # Arm B adopts A's counterexample, then (like every budget loop
-        # does) publishes its whole pool back.  The bus must not grow.
-        channel = Channel()
-        a = Pool(spec, layout_key="arm-a")
-        b = Pool(spec, layout_key="arm-a")
-        a.add(Bits(0x8F, 8))
-        a.publish(channel, Bits(0x8F, 8))
-        assert b.drain(channel) == 1
-        for entry in b.entries():
-            b.publish(channel, entry.bits)
-        assert len(channel) == 1
-        # And A sees nothing new: its cursor already covers the entry.
-        assert a.drain(channel) == 0
-
-    def test_fetch_ships_only_new_entries_for_the_topic(self):
-        bus = CexBus()
-        for v in range(5):
-            bus.publish("arm-other", v, 8)
-        bus.publish("arm-a", 0x01, 8)
-        bus.publish("arm-a", 0x02, 8)
-        cursor, items = bus.fetch("arm-a", 0)
-        assert cursor == 2 and len(items) == 2
-        # Only the topic's own entries crossed the wire — not the other
-        # topic's five — and a caught-up consumer ships zero.
-        assert bus.stats()["shipped"] == 2
-        cursor, items = bus.fetch("arm-a", cursor)
-        assert items == [] and cursor == 2
-        assert bus.stats()["shipped"] == 2
-
-    def test_drain_costs_one_round_trip_regardless_of_bus_size(self, spec):
-        counting = _CountingBus()
-        channel = Channel(counting)
-        for v in range(50):
-            channel.publish("arm-other", Bits(v, 8))
-        pool = Pool(spec, layout_key="arm-a")
-        before = counting.calls
-        assert pool.drain(channel) == 0
-        assert counting.calls == before + 1   # one fetch, empty payload
-
-    def test_winner_flags_are_group_scoped(self):
-        channel = Channel()
-        assert channel.winner_declared("g1") is False
-        channel.announce_winner("g1")
-        assert channel.winner_declared("g1") is True
-        assert channel.winner_declared("g2") is False

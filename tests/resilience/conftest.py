@@ -7,6 +7,9 @@ modules themselves.
 
 from __future__ import annotations
 
+import multiprocessing
+import time
+
 import pytest
 
 from repro.hw import tofino_profile
@@ -30,3 +33,22 @@ def device():
 @pytest.fixture
 def spec():
     return parse_spec(ETH_DISPATCH)
+
+
+@pytest.fixture
+def new_children():
+    """Callable returning the ``multiprocessing`` children started since
+    the test began that are still alive after ``grace`` seconds.  The
+    grace covers bookkeeping only: a killed pool worker is dead at once,
+    but the executor's thread may reap it a moment later."""
+    before = set(multiprocessing.active_children())
+
+    def alive(grace: float = 1.0):
+        deadline = time.monotonic() + grace
+        while True:
+            extra = set(multiprocessing.active_children()) - before
+            if not extra or time.monotonic() >= deadline:
+                return extra
+            time.sleep(0.01)
+
+    return alive

@@ -108,7 +108,9 @@ class TestExpiredDeadline:
 
 
 class TestPooledDeadline:
-    def test_hung_workers_yield_timeout_naming_arms(self, spec, device):
+    def test_hung_workers_yield_timeout_naming_arms(
+        self, spec, device, new_children
+    ):
         # Every worker hangs (in the subprocess only); the portfolio must
         # come back within ~total_max_seconds with a STATUS_TIMEOUT
         # partial result instead of blocking on a stuck future.
@@ -130,6 +132,8 @@ class TestPooledDeadline:
         assert "key<=8,loop-free" in result.message
         # Came back promptly: the deadline, not the hang, set the pace.
         assert elapsed < 5.0
+        # And the hung workers did not outlive the portfolio.
+        assert not new_children()
 
 
 class TestSequentialDeadline:
@@ -208,7 +212,7 @@ class TestHarvestOnExpiry:
         monkeypatch.setattr(
             par,
             "_run_subproblem",
-            lambda spec, sub, trace=False, faults=None, channel=None: (
+            lambda spec, sub, trace=False, faults=None: (
                 sub.priority, winner if sub.priority == 0 else loser,
                 None, None,
             ),
@@ -236,7 +240,7 @@ class TestHarvestOnExpiry:
 
         par = self._patch_pool(monkeypatch)
 
-        def run(spec, sub, trace=False, faults=None, channel=None):
+        def run(spec, sub, trace=False, faults=None):
             if sub.priority == 0:
                 raise WorkerCrash("died before expiry")
             return (

@@ -10,6 +10,7 @@ sequential fallback).
 from __future__ import annotations
 
 import os
+import time
 
 from repro.core import (
     CompileOptions,
@@ -21,12 +22,18 @@ from repro.obs import Tracer, use_tracer
 from repro.resilience import WorkerCrash, injection
 
 FIRST_ARM = "key<=8,loop-free"     # highest-priority arm for the fixture spec
+SECOND_ARM = "key<=8,loop-aware"
 
 
 def _exit_hard():
     # Simulates a worker killed by the OS (OOM killer, segfault): the
     # parent sees BrokenProcessPool, not a Python exception.
     os._exit(3)
+
+
+def _hang_60s():
+    # A losing arm that would outlive the race by a minute.
+    time.sleep(60.0)
 
 
 def _span_names(span, acc=None):
@@ -139,6 +146,29 @@ class TestPooledSupervision:
         assert tracer.registry.get("portfolio.pool_broken") == 1
         names = _span_names(tracer.finish())
         assert "portfolio.recovery" in names
+
+    def test_losing_arm_is_stopped_when_the_winner_returns(
+        self, spec, device, new_children
+    ):
+        # The second arm hangs in its worker while the first one wins.
+        # shutdown(cancel_futures=True) alone would leave that worker
+        # sleeping for a minute after the portfolio returned.
+        injection.inject(
+            "portfolio.worker",
+            _hang_60s,
+            match=SECOND_ARM,
+            times=None,
+            scope="subprocess",
+        )
+        started = time.monotonic()
+        result = portfolio_compile(
+            spec,
+            device,
+            CompileOptions(parallel_workers=2, total_max_seconds=120),
+        )
+        assert result.ok
+        assert time.monotonic() - started < 30.0
+        assert not new_children()
 
     def test_pool_unavailable_degrades_to_sequential(self, spec, device):
         # Sandboxed environments: ProcessPoolExecutor cannot be created.
