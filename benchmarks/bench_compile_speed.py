@@ -24,18 +24,6 @@ Usage::
     python benchmarks/bench_compile_speed.py [--quick] [--check]
         [--output BENCH_pr5.json] [--baseline BENCH_pr4.json] [--seed 0]
         [--pr4-tree PATH] [--certify-ab]
-    python benchmarks/bench_compile_speed.py --eqsat-ab [--quick]
-        [--check] [--output BENCH_pr10.json]
-
-``--eqsat-ab`` is a standalone mode (PR 10): an interleaved in-process
-A/B of ``CompileOptions.eqsat`` on vs off over canonical Table-3 rows
-(overhead guard — saturating an already-canonical spec must be nearly
-free) and redundantly-written R1-R5 variants of the same parsers (the
-win — the e-graph collapses symmetric candidates before bit-blasting).
-Gates: byte-identical resource answers, Figure 22 simulation of every
-eqsat-compiled program against the *input* spec, candidate-space
-reduction on every mutated row, canonical-row overhead and whole-suite
-geomean limits.
 
 ``--quick`` runs one repetition per case (CI perf-smoke) and relaxes the
 vs-PR4 gate to a no-major-regression check (geomean >= 0.8, i.e. fail
@@ -108,46 +96,8 @@ VS_PR4_TARGET_QUICK = 0.8  # fail only on a >25% regression
 # most this much end-to-end; the default path has logging off entirely.
 CERTIFY_OVERHEAD_LIMIT = 1.10
 
-# Equality-saturation A/B (PR 10): canonical Table-3 rows measure the
-# overhead of saturating a spec eqsat cannot improve; mutated rows (the
-# same parsers written redundantly via R1-R5) measure the win from
-# collapsing symmetric candidates before bit-blasting.  Settings differ
-# from SUITE: slices of >= 1.0s keep budget retirement off the noisy
-# wall-clock path so both arms reach identical answers run after run.
-EQSAT_SUITE = [
-    # (label, key_limit, max_extra_entries, time_slice, mutated)
-    ("Parse Ethernet", 8, 2, 1.0, False),
-    ("Parse icmp", 8, 2, 1.0, False),
-    ("Large tran key", 8, 2, 1.0, False),
-    ("Multi-keys (diff pkt fields)", 8, 2, 1.0, False),
-    ("Dash V2", 8, 2, 1.0, False),
-    # Sai V2's winning budget sits near the 1.0s slice boundary without
-    # eqsat; a 4.0s slice keeps its answer deterministic in both arms
-    # even under competing machine load.
-    ("Sai V2", 8, 2, 4.0, False),
-    ("Parse Ethernet +R1", 8, 2, 1.0, True),
-    ("Parse icmp +R5", 8, 2, 1.0, True),
-    ("Large tran key +R1 +R4", 8, 2, 1.0, True),
-    ("Large tran key +R3 +R4", 8, 2, 1.0, True),
-    ("Multi-keys (diff pkt fields) +R5", 8, 2, 1.0, True),
-    ("Multi-key (same pkt field) -R5", 8, 2, 1.0, True),
-    ("Sai V2 +R1 +R2", 8, 2, 4.0, True),
-    ("Dash V2 +R1 +R2", 8, 2, 1.0, True),
-]
-# Saturating an already-canonical spec must be close to free.  The full
-# three-rep run gates the canonical rows' median overhead at 1.05x; a
-# single --quick rep on a shared runner can't resolve 5% on sub-second
-# compiles, so it only guards against gross regressions.
-EQSAT_CANONICAL_OVERHEAD_FULL = 1.05
-EQSAT_CANONICAL_OVERHEAD_QUICK = 1.30
-# ... and over the whole suite (mutated rows included) eqsat must not
-# lose time on net, with byte-identical resource counts.
-EQSAT_GEOMEAN_TARGET = 1.0
-
-
 def _options(reuse: bool, extra: int, tslice: float,
-             seed: int, certify: bool = False,
-             eqsat: bool = False) -> CompileOptions:
+             seed: int, certify: bool = False) -> CompileOptions:
     return CompileOptions(
         test_reuse=reuse,
         seed=seed,
@@ -158,7 +108,6 @@ def _options(reuse: bool, extra: int, tslice: float,
         budget_time_slice=tslice,
         max_extra_entries=extra,
         certify=certify,
-        eqsat=eqsat,
     )
 
 
@@ -423,190 +372,6 @@ def _run_certify_ab(seed: int, reps: int) -> Dict[str, Any]:
     }
 
 
-def _clear_eqsat_caches() -> None:
-    """Reset every eqsat-only memo so each timed on-arm compile pays the
-    full saturation cost (the warm-up would otherwise pre-populate them
-    and the A/B would under-report the overhead)."""
-    from repro.core import skeleton as _skeleton
-    from repro.ir import eqsat as _eqsat
-
-    _eqsat._SATURATE_CACHE.clear()
-    _eqsat._semantic_rule_canon.cache_clear()
-    _skeleton._semantic_dest_sets.cache_clear()
-
-
-def _candidate_product(spec, device, extra: int, tslice: float,
-                       seed: int, eqsat: bool) -> int:
-    """Static size of the enumeration space the encoder bit-blasts for
-    one (spec, arm): product over states of the per-state candidate
-    counts at the entry lower bound (``Skeleton.candidate_space``)."""
-    from repro.core.normalize import prepare_spec
-    from repro.core.skeleton import build_skeleton, entry_lower_bound
-
-    opts = _options(True, extra, tslice, seed, eqsat=eqsat)
-    prepared, _plan = prepare_spec(
-        spec, pipelined=True, minimize_widths=False, fix_varbits=False,
-        eqsat=eqsat,
-    )
-    sk = build_skeleton(
-        prepared, device, opts,
-        num_entries=entry_lower_bound(prepared, device),
-    )
-    return sk.candidate_space()["product"]
-
-
-def _run_eqsat_ab(seed: int, reps: int) -> Dict[str, Any]:
-    """Interleaved eqsat on/off A/B over EQSAT_SUITE.
-
-    Both arms compile in-process, alternating case-by-case (order
-    reversed on odd reps) so they see the same machine load; rep 0 runs
-    an untimed warm-up per arm.  Eqsat-only memo caches are cleared
-    before every timed on-arm compile, so the reported walls include the
-    full saturation cost.  Besides walls the A/B records, per row: the
-    resource answer of each arm (must be identical), a Figure 22 random
-    simulation check of the on-arm program against the *input* spec, the
-    static candidate-space product of each arm, and the e-graph's own
-    saturation stats."""
-    from repro.core.validate import random_simulation_check
-    from repro.ir.eqsat import saturate_spec
-
-    walls: Dict[str, Dict[str, List[float]]] = {
-        arm: {c[0]: [] for c in EQSAT_SUITE} for arm in ("on", "off")
-    }
-    answers: Dict[str, Dict[str, Any]] = {"on": {}, "off": {}}
-    programs: Dict[str, Any] = {}
-    for _rep in range(reps):
-        for label, kl, extra, tslice, _mut in EQSAT_SUITE:
-            spec = benchmark_by_label(label).spec()
-            device = tofino_profile(key_limit=kl)
-            arms = [("on", True), ("off", False)]
-            if _rep % 2:
-                arms.reverse()
-            for arm, eq in arms:
-                if _rep == 0:  # untimed warm-up (imports, pyc, caches)
-                    compile_spec(spec, device,
-                                 _options(True, extra, tslice, seed,
-                                          eqsat=eq))
-                if eq:
-                    _clear_eqsat_caches()
-                t0 = time.monotonic()
-                result = compile_spec(
-                    spec, device,
-                    _options(True, extra, tslice, seed, eqsat=eq))
-                walls[arm][label].append(time.monotonic() - t0)
-                answers[arm][label] = (
-                    result.status,
-                    result.num_entries if result.program else None,
-                    result.num_stages if result.program else None,
-                )
-                if eq and result.program is not None:
-                    programs[label] = result.program
-    cases = []
-    logs_all: List[float] = []
-    logs_canon_overhead: List[float] = []
-    logs_space: List[float] = []
-    for label, kl, extra, tslice, mutated in EQSAT_SUITE:
-        spec = benchmark_by_label(label).spec()
-        device = tofino_profile(key_limit=kl)
-        won, woff = walls["on"][label], walls["off"][label]
-        speedup = (
-            statistics.median(woff) / statistics.median(won)
-            if statistics.median(won) else 0.0
-        )
-        logs_all.append(math.log(max(speedup, 1e-9)))
-        if not mutated:
-            logs_canon_overhead.append(math.log(max(1.0 / speedup, 1e-9)))
-        p_on = _candidate_product(spec, device, extra, tslice, seed, True)
-        p_off = _candidate_product(spec, device, extra, tslice, seed, False)
-        if mutated:
-            logs_space.append(
-                math.log(max(p_off, 1) / max(p_on, 1))
-            )
-        simulated = None
-        if label in programs:
-            simulated = random_simulation_check(
-                spec, programs[label], samples=300, seed=seed
-            ).passed
-        _saturated, stats = saturate_spec(spec)
-        cases.append({
-            "case": label,
-            "mutated": mutated,
-            "key_limit": kl,
-            "on_walls": [round(w, 4) for w in won],
-            "off_walls": [round(w, 4) for w in woff],
-            "speedup": round(speedup, 4),
-            "same_answer": answers["on"][label] == answers["off"][label],
-            "answer": list(answers["on"][label]),
-            "simulation_passed": simulated,
-            "candidate_product_on": p_on,
-            "candidate_product_off": p_off,
-            "eqsat_stats": stats.as_dict(),
-            "states_in": len(spec.states),
-            "states_canonical": len(_saturated.states),
-        })
-        print(
-            f"{label:36s} on={statistics.median(won):6.2f}s "
-            f"off={statistics.median(woff):6.2f}s x{speedup:5.2f} "
-            f"space {p_off} -> {p_on} "
-            f"same={cases[-1]['same_answer']} sim={simulated}",
-            flush=True,
-        )
-    space_reduction = (
-        math.exp(sum(logs_space) / len(logs_space)) if logs_space else 1.0
-    )
-    return {
-        "reps": reps,
-        "cases": cases,
-        "geomean_speedup": round(
-            math.exp(sum(logs_all) / len(logs_all)), 4),
-        "canonical_overhead": round(
-            math.exp(sum(logs_canon_overhead) / len(logs_canon_overhead)),
-            4) if logs_canon_overhead else None,
-        "candidate_space_reduction_mutated": round(space_reduction, 4),
-        "same_answers": all(c["same_answer"] for c in cases),
-        "simulations_passed": all(
-            c["simulation_passed"] is not False for c in cases
-        ),
-    }
-
-
-def check_eqsat_report(report: Dict[str, Any]) -> List[str]:
-    """Acceptance assertions for the eqsat A/B (PR 10)."""
-    ab = report["eqsat_ab"]
-    failures = []
-    if not ab["same_answers"]:
-        failures.append("eqsat changed a compile answer")
-    if not ab["simulations_passed"]:
-        failures.append("an eqsat-compiled program failed simulation")
-    if ab["geomean_speedup"] < EQSAT_GEOMEAN_TARGET:
-        failures.append(
-            f"eqsat geomean x{ab['geomean_speedup']:.3f} < "
-            f"x{EQSAT_GEOMEAN_TARGET} (eqsat loses time on net)"
-        )
-    limit = (
-        EQSAT_CANONICAL_OVERHEAD_QUICK if report["quick"]
-        else EQSAT_CANONICAL_OVERHEAD_FULL
-    )
-    if ab["canonical_overhead"] is not None and \
-            ab["canonical_overhead"] > limit:
-        failures.append(
-            f"canonical-row overhead x{ab['canonical_overhead']:.3f} > "
-            f"x{limit}"
-        )
-    if ab["candidate_space_reduction_mutated"] <= 1.0:
-        failures.append(
-            "no candidate-space reduction on mutated rows "
-            f"(x{ab['candidate_space_reduction_mutated']:.3f})"
-        )
-    for case in ab["cases"]:
-        if case["mutated"] and \
-                case["candidate_product_on"] > case["candidate_product_off"]:
-            failures.append(
-                f"candidate space grew on mutated row {case['case']}"
-            )
-    return failures
-
-
 def _load_baseline(path: Path) -> Optional[Dict[str, Dict[str, Any]]]:
     """Checked-in PR-4 reuse-on rows keyed by case label, or None."""
     if not path.exists():
@@ -803,46 +568,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="also run the interleaved certify on/off A/B "
                              "(proof-logging overhead must stay <= "
                              f"{CERTIFY_OVERHEAD_LIMIT}x with --check)")
-    parser.add_argument("--eqsat-ab", action="store_true",
-                        help="run ONLY the equality-saturation on/off A/B "
-                             "(PR 10) and write its report to --output; "
-                             "--check then gates identical answers, "
-                             "simulation, candidate-space reduction on "
-                             "mutated rows, and the canonical-row "
-                             "overhead limit")
     args = parser.parse_args(argv)
-
-    if args.eqsat_ab:
-        reps = 1 if args.quick else 3
-        report = {
-            "bench": "bench_compile_speed",
-            "mode": "eqsat_ab",
-            "pr": 10,
-            "quick": args.quick,
-            "seed": args.seed,
-            "eqsat_ab": _run_eqsat_ab(args.seed, reps),
-        }
-        Path(args.output).write_text(json.dumps(report, indent=2) + "\n")
-        ab = report["eqsat_ab"]
-        overhead = (
-            f"x{ab['canonical_overhead']:.3f}"
-            if ab["canonical_overhead"] is not None else "n/a"
-        )
-        print(
-            f"\neqsat A/B: geomean x{ab['geomean_speedup']:.3f}  "
-            f"canonical-row overhead {overhead}  "
-            f"mutated candidate-space reduction "
-            f"x{ab['candidate_space_reduction_mutated']:.3f}  "
-            f"same_answers={ab['same_answers']}  "
-            f"simulations_passed={ab['simulations_passed']}"
-        )
-        print(f"wrote {args.output}")
-        if args.check:
-            failures = check_eqsat_report(report)
-            for failure in failures:
-                print(f"CHECK FAILED: {failure}", file=sys.stderr)
-            return 1 if failures else 0
-        return 0
 
     report = run_bench(quick=args.quick, seed=args.seed,
                        pr4_tree=Path(args.pr4_tree) if args.pr4_tree else None,

@@ -166,7 +166,6 @@ def cmd_compile(args: argparse.Namespace) -> int:
         cache_dir=args.cache_dir,
         test_reuse=not args.no_test_reuse,
         certify=args.certify,
-        eqsat=args.eqsat == "on",
     )
     tracer = _make_tracer(args)
     with use_tracer(tracer):
@@ -221,34 +220,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         width = result.od_widths[key]
         print(f"  {key} = {result.od[key]:#x} ({width} bits)")
     return 0 if result.outcome != "overrun" else 1
-
-
-def cmd_ir_canon(args: argparse.Namespace) -> int:
-    from .ir.eqsat import EGraph, EqsatBudget, saturate_spec
-
-    spec = parse_spec(Path(args.source).read_text())
-    budget = EqsatBudget(
-        max_nodes=args.max_nodes, max_iterations=args.max_iterations
-    )
-    if args.dot:
-        from .ir.dot import egraph_to_dot
-
-        graph = EGraph(spec)
-        stats = graph.saturate(budget)
-        print(egraph_to_dot(graph))
-        for row in graph.class_summary():
-            names = ", ".join(sorted(row["names"]))
-            print(
-                f"# class c{row['class']}: {row['nodes']} node(s) "
-                f"[{names}]",
-                file=sys.stderr,
-            )
-    else:
-        canon, stats = saturate_spec(spec, budget)
-        print(canon.to_source())
-    summary = " ".join(f"{k}={v}" for k, v in stats.as_dict().items())
-    print(f"# eqsat: {summary}", file=sys.stderr)
-    return 0
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -695,13 +666,6 @@ def build_parser() -> argparse.ArgumentParser:
         "being replayed); mainly for A/B perf measurement",
     )
     p_compile.add_argument(
-        "--eqsat", choices=["on", "off"], default="off",
-        help="equality-saturation normalization: collapse symmetric "
-        "spec writings to one canonical form before skeleton "
-        "enumeration (semantic flag — cache/checkpoint keys differ "
-        "from --eqsat off)",
-    )
-    p_compile.add_argument(
         "--trace", metavar="PATH", default=None,
         help="write the structured span tree (JSON) to PATH",
     )
@@ -717,31 +681,6 @@ def build_parser() -> argparse.ArgumentParser:
         "input", help="input bitstream: 0b0101... or 0xAB... (byte aligned)"
     )
     p_sim.set_defaults(func=cmd_simulate)
-
-    p_ir = sub.add_parser(
-        "ir", help="inspect the parser-spec IR (equality saturation)"
-    )
-    ir_sub = p_ir.add_subparsers(dest="ir_command", required=True)
-    p_ir_canon = ir_sub.add_parser(
-        "canon",
-        help="equality-saturate a spec and print its canonical form "
-        "(or the saturated e-graph with --dot)",
-    )
-    p_ir_canon.add_argument("source")
-    p_ir_canon.add_argument(
-        "--dot", action="store_true",
-        help="emit the saturated e-graph as Graphviz DOT (one cluster "
-        "per e-class) instead of the extracted canonical spec",
-    )
-    p_ir_canon.add_argument(
-        "--max-nodes", type=int, default=4096,
-        help="saturation node budget (EqsatBudget.max_nodes)",
-    )
-    p_ir_canon.add_argument(
-        "--max-iterations", type=int, default=24,
-        help="saturation iteration budget (EqsatBudget.max_iterations)",
-    )
-    p_ir_canon.set_defaults(func=cmd_ir_canon)
 
     p_val = sub.add_parser(
         "validate", help="compile + Figure 22 random check"

@@ -243,7 +243,6 @@ class ParserHawkCompiler:
                     pipelined=device.is_pipelined or not allow_loops,
                     minimize_widths=options.opt2_bitwidth_minimization,
                     fix_varbits=options.opt6_fixed_varbits,
-                    eqsat=options.eqsat,
                 )
                 result = self._search_budgets(
                     spec, synth_spec, plan, device, options, stats,
@@ -595,7 +594,6 @@ class ParserHawkCompiler:
             pipelined=device.is_pipelined or not allow_loops,
             minimize_widths=False,
             fix_varbits=False,
-            eqsat=options.eqsat,
         )
         skeleton = build_skeleton(
             unscaled,

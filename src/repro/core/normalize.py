@@ -69,17 +69,6 @@ def _drain(rewrite, spec: ParserSpec) -> ParserSpec:
     return current
 
 
-def saturate(spec: ParserSpec, budget: Optional["EqsatBudget"] = None):
-    """Equality-saturation normalization (PR 10): build an e-graph over
-    the spec, saturate the non-destructive R1–R5 rewrites to a bounded
-    fixed point, and extract the cost-minimal canonical representative.
-    Returns ``(spec, EqsatStats)``; see ``ir/eqsat.py``.
-    """
-    from ..ir.eqsat import saturate_spec
-
-    return saturate_spec(spec, budget)
-
-
 def _same_shape(a: ParserSpec, b: ParserSpec) -> bool:
     if set(a.states) != set(b.states):
         return False
@@ -240,22 +229,11 @@ def prepare_spec(
     pipelined: bool,
     minimize_widths: bool,
     fix_varbits: bool,
-    eqsat: bool = False,
 ) -> Tuple[ParserSpec, ScalePlan]:
-    """Canonicalize, unroll if the target is forward-only, scale.
-
-    With ``eqsat`` the greedy canonical spec is additionally
-    equality-saturated (after unrolling for pipelined targets, so the
-    unrolled chain itself gets normalized) and the skeleton enumerates
-    from the extracted representative.
-    """
+    """Canonicalize, unroll if the target is forward-only, scale."""
     prepared = canonicalize(spec)
-    if eqsat and not pipelined:
-        prepared, _stats = saturate(prepared)
     if pipelined:
         prepared = unroll_self_loops(prepared)
         prepared = canonicalize(prepared)
-        if eqsat:
-            prepared, _stats = saturate(prepared)
     scaled, plan = scale_spec(prepared, minimize_widths, fix_varbits)
     return scaled, plan

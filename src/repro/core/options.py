@@ -48,13 +48,6 @@ class CompileOptions:
     # unchanged; the knob exists for A/B measurement (CLI
     # --no-test-reuse, benchmarks/bench_compile_speed).
     test_reuse: bool = True
-    # Equality-saturation normalization (PR 10, repro.ir.eqsat): after
-    # the greedy canonicalize pass, build an e-graph over the spec,
-    # saturate the non-destructive R1–R5 rewrites to a bounded fixed
-    # point, and enumerate skeletons from the extracted cost-minimal
-    # representative.  Changes the spec the synthesizer sees, so it is
-    # semantic — cache and checkpoint keys never mix regimes.
-    eqsat: bool = False
 
     # CEGIS budgets.
     max_cegis_iterations: int = 40

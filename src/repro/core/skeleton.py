@@ -20,7 +20,6 @@ symbolic:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
@@ -151,24 +150,6 @@ class Skeleton:
             )
             lines.append(f"  [{st.sid}] {st.name} ({kind}): {cands}")
         return "\n".join(lines)
-
-    def candidate_space(self) -> Dict[str, int]:
-        """The enumerated candidate-space dimensions the encoder
-        bit-blasts: implementation states, the summed Opt4 pattern
-        pools, and table entries — plus their product, the single
-        number the eqsat A/B benchmark tracks per row."""
-        patterns = sum(len(sum(st.patterns, [])) for st in self.states)
-        product = (
-            max(1, self.num_states)
-            * max(1, patterns)
-            * max(1, self.num_entries)
-        )
-        return {
-            "states": self.num_states,
-            "patterns": patterns,
-            "entries": self.num_entries,
-            "product": product,
-        }
 
     def search_space_bits(self) -> int:
         """Size of the symbolic search space in bits (Table 3 column)."""
@@ -315,33 +296,6 @@ def _candidate_slices(
 # Pattern-pool generation (Opt4)
 # ---------------------------------------------------------------------------
 
-# Sliced projections larger than this add nothing the pool cap would
-# keep anyway (the catch-all is always pooled), so skip their covers.
-EQSAT_POOL_MAX_VALUES = 64
-
-
-@lru_cache(maxsize=256)
-def _semantic_dest_sets(
-    rules: Tuple, widths: Tuple[int, ...]
-) -> Tuple[Tuple[str, Tuple[int, ...]], ...]:
-    """First-match value -> destination map over the whole key, grouped by
-    non-reject destination (unmatched values reject).  A function of the
-    state's *semantics*, not its written rule style, so pools built from
-    it are invariant under the eqsat canonicalization.  Callers gate on
-    small total widths."""
-    total = sum(widths)
-    folded = [r.combined_value_mask(widths) for r in rules]
-    dests = [r.next_state for r in rules]
-    sets: Dict[str, List[int]] = {}
-    for kv in range(1 << total):
-        for (value, mask), dest in zip(folded, dests):
-            if (kv & mask) == (value & mask):
-                if dest != REJECT:
-                    sets.setdefault(dest, []).append(kv)
-                break
-    return tuple(sorted((d, tuple(v)) for d, v in sets.items()))
-
-
 def _restrict_constant(
     value: int, mask: int, natural_width: int, lo: int, width: int
 ) -> Tuple[int, int]:
@@ -364,7 +318,6 @@ def _patterns_for_candidate(
     spec_state: SpecState,
     natural: Sequence[KeyPart],
     cand: KeyCandidate,
-    options: CompileOptions,
     cap: int = 16,
 ) -> List[TernaryPattern]:
     """The Opt4 constant pool for one (state, key-candidate) pair."""
@@ -405,37 +358,6 @@ def _patterns_for_candidate(
                     add(cube.value, cube.mask)
             for v in sliced:
                 add(v, (1 << width) - 1)
-        if options.eqsat and sum(widths) <= 12:
-            # Eqsat canonicalization rewrites the rule list (masked
-            # covers instead of written exact values), which would
-            # starve the constant pool above of the slice projections
-            # 6.4.2 mines from fully-masked rules.  Rebuild those
-            # projections from the state's semantic value -> destination
-            # map instead, making the pool invariant under how the rules
-            # were written.  Mirror 6.4.2's scope: non-default
-            # destinations with small value sets — mining the catch-all
-            # destination's huge set would flood the pool cap with
-            # patterns 6.4.2 never offers, inflating every encoding.
-            default_dest = None
-            if spec_state.rules:
-                last = spec_state.rules[-1]
-                if last.combined_value_mask(widths)[1] == 0:
-                    default_dest = last.next_state
-            for dest, values in _semantic_dest_sets(
-                tuple(spec_state.rules), tuple(widths)
-            ):
-                if dest == default_dest:
-                    continue
-                if len(values) > EQSAT_POOL_MAX_VALUES:
-                    continue
-                sliced = sorted(
-                    {(v >> lo) & ((1 << width) - 1) for v in values}
-                )
-                if len(sliced) > 1 and width <= 16:
-                    for cube in minimal_cover_exact(sliced, width):
-                        add(cube.value, cube.mask)
-                for v in sliced:
-                    add(v, (1 << width) - 1)
     return pool[:cap]
 
 
@@ -574,7 +496,7 @@ def build_skeleton(
                 patterns.append([TernaryPattern(0, 0, 0)])
             elif options.opt4_constant_synthesis:
                 patterns.append(
-                    _patterns_for_candidate(spec_state, natural, cand, options)
+                    _patterns_for_candidate(spec_state, natural, cand)
                 )
             else:
                 patterns.append([FREE_PATTERN])
@@ -609,7 +531,7 @@ def build_skeleton(
                 if options.opt4_constant_synthesis:
                     aux_patterns.append(
                         _patterns_for_candidate(
-                            spec_state, spec_state.key, cand, options
+                            spec_state, spec_state.key, cand
                         )
                     )
                 else:

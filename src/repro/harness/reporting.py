@@ -107,30 +107,6 @@ def format_sat_phases(trace: Any) -> str:
     return "SAT phases: " + " | ".join(parts)
 
 
-def format_eqsat_summary(trace: Any) -> str:
-    """One-line equality-saturation summary from a trace's counters.
-
-    ``saturate_spec`` records per-run ``eqsat.*`` counters (iterations,
-    surviving e-classes, e-nodes, extraction wall time); summing across
-    spans profiles the normalization stage the same way
-    :func:`format_sat_phases` profiles the solver.  Returns "" when the
-    trace recorded no saturation (``--eqsat off`` or a cache hit)."""
-    totals: dict = {}
-    for row in aggregate(trace).values():
-        for key, value in row["counters"].items():
-            if key.startswith("eqsat."):
-                totals[key] = totals.get(key, 0) + value
-    if not totals:
-        return ""
-    return (
-        "eqsat: "
-        f"iterations {int(totals.get('eqsat.iterations', 0))} | "
-        f"classes {int(totals.get('eqsat.classes', 0))} | "
-        f"nodes {int(totals.get('eqsat.nodes', 0))} | "
-        f"extract {totals.get('eqsat.extract_seconds', 0.0):.3f}s"
-    )
-
-
 def format_span_breakdown(
     trace: Any, max_depth: int = 4, min_seconds: float = 0.005
 ) -> str:
@@ -144,7 +120,4 @@ def format_span_breakdown(
     phases = format_sat_phases(trace)
     if phases:
         profile = f"{profile}\n\n{phases}"
-    eqsat = format_eqsat_summary(trace)
-    if eqsat:
-        profile = f"{profile}\n{eqsat}" if phases else f"{profile}\n\n{eqsat}"
     return f"{profile}\n\nspan tree (depth<={max_depth}):\n{tree}"

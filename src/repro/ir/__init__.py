@@ -1,7 +1,6 @@
 """Parser-specification IR: bits, spec, simulator, analyses, rewrites."""
 
 from .bits import Bits
-from .eqsat import EGraph, EqsatBudget, EqsatStats, saturate_spec
 from .simulator import (
     OUTCOME_ACCEPT,
     OUTCOME_OVERRUN,
@@ -29,9 +28,6 @@ from .spec import (
 __all__ = [
     "ACCEPT",
     "Bits",
-    "EGraph",
-    "EqsatBudget",
-    "EqsatStats",
     "Field",
     "FieldKey",
     "KeyPart",

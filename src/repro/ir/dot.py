@@ -68,69 +68,6 @@ def spec_to_dot(spec: ParserSpec, name: str | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def egraph_to_dot(graph, name: str | None = None) -> str:
-    """Render an :class:`~repro.ir.eqsat.EGraph` as DOT: one cluster per
-    live e-class (labelled with the source-state names it absorbed), one
-    record per e-node, and edges from each node to the e-classes its
-    rules target.  Deterministic: classes in id order, nodes in
-    insertion order."""
-    from .eqsat import ENode
-
-    title = _escape(name or graph.spec.name)
-    lines: List[str] = [f'digraph "{title}" {{']
-    lines.append("  rankdir=LR;")
-    lines.append("  compound=true;")
-    lines.append('  node [shape=record, fontname="monospace"];')
-    lines.append(
-        '  accept [shape=doublecircle, label="accept", color=darkgreen];'
-    )
-    lines.append('  reject [shape=doublecircle, label="reject", color=red];')
-    anchors: dict = {}
-    edges: List[str] = []
-    start = graph.find(graph.start_cid)
-    for cid in graph.class_ids():
-        names = ", ".join(sorted(graph.names_of(cid)))
-        style = ' style="bold"' if cid == start else ""
-        lines.append(f"  subgraph cluster_c{cid} {{")
-        lines.append(f'    label="c{cid}: {_escape(names)}"{style};')
-        for i, node in enumerate(graph.nodes_of(cid)):
-            assert isinstance(node, ENode)
-            nid = f"n{cid}_{i}"
-            anchors.setdefault(cid, nid)
-            extracts = "\\n".join(node.extracts) if node.extracts else "-"
-            parts = [f"extract: {extracts}"]
-            key = _key_label(node.key)
-            if key:
-                parts.append(f"key: {key}")
-            rule_bits = []
-            for value, mask, dest in node.rules:
-                pat = "*" if mask == 0 else f"{value:#x}&&&{mask:#x}"
-                dtok = f"c{dest}" if isinstance(dest, int) else str(dest)
-                rule_bits.append(f"{pat} -\\> {dtok}")
-            parts.append("\\n".join(rule_bits))
-            label = "|".join(parts)
-            lines.append(f'    {nid} [label="{{{_escape(label)}}}"];')
-            for value, mask, dest in node.rules:
-                if dest == ACCEPT:
-                    edges.append(f"  {nid} -> accept;")
-                elif dest == REJECT:
-                    edges.append(f"  {nid} -> reject;")
-                else:
-                    target = graph.find(dest)
-                    edges.append(
-                        f"  {nid} -> ANCHOR_{target} "
-                        f"[lhead=cluster_c{target}];"
-                    )
-        lines.append("  }")
-    # Second pass: edge targets point at each cluster's first node.
-    for edge in edges:
-        for cid, nid in anchors.items():
-            edge = edge.replace(f"ANCHOR_{cid} ", f"{nid} ")
-        lines.append(edge)
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
 def program_to_dot(program, name: str | None = None) -> str:
     """Render a compiled TcamProgram as DOT (one edge per TCAM entry,
     ordered by priority)."""

@@ -154,7 +154,11 @@ def add_unreachable_entries(
 
 
 def remove_unreachable_entries(spec: ParserSpec) -> ParserSpec:
-    """-R2: drop rules after a catch-all and drop unreachable states."""
+    """-R2: drop rules that can never fire and drop unreachable states.
+
+    A rule can never fire when the earlier rules' match cubes cover its
+    own: everything after a catch-all, but also a rule that several
+    earlier rules cover only jointly."""
     new_states: Dict[str, SpecState] = {}
     for name, state in spec.states.items():
         if state.is_unconditional:
@@ -162,11 +166,13 @@ def remove_unreachable_entries(spec: ParserSpec) -> ParserSpec:
             continue
         widths = [k.width for k in state.key]
         keep: List[Rule] = []
+        cubes: List[Tuple[int, int]] = []
         for rule in state.rules:
+            value, mask = rule.combined_value_mask(widths)
+            if _covered(value, mask, cubes):
+                continue
             keep.append(rule)
-            _value, mask = rule.combined_value_mask(widths)
-            if mask == 0:
-                break  # everything after a catch-all is unreachable
+            cubes.append((value, mask))
         new_states[name] = SpecState(
             state.name, state.extracts, state.key, tuple(keep)
         )
@@ -177,6 +183,26 @@ def remove_unreachable_entries(spec: ParserSpec) -> ParserSpec:
     kept = {n: s for n, s in trimmed.states.items() if n not in dead}
     order = [n for n in trimmed.state_order if n not in dead]
     return trimmed.with_states(kept, trimmed.start, order)
+
+
+def _covered(
+    value: int, mask: int, cubes: List[Tuple[int, int]], start: int = 0
+) -> bool:
+    """Is every key matching ``(value, mask)`` matched by some cube in
+    ``cubes[start:]``?  Exact: split on a bit the first intersecting cube
+    fixes; the half that disagrees with that cube is disjoint from it."""
+    for i in range(start, len(cubes)):
+        cube_value, cube_mask = cubes[i]
+        if (value ^ cube_value) & mask & cube_mask:
+            continue  # disjoint
+        free = cube_mask & ~mask
+        if not free:
+            return True  # this cube contains ours
+        bit = free & -free
+        return _covered(
+            value | (bit & ~cube_value), mask | bit, cubes, i + 1
+        ) and _covered(value | (bit & cube_value), mask | bit, cubes, i)
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -33,15 +33,14 @@ from ..hw.device import DeviceProfile
 from ..hw.impl import TcamProgram
 from ..ir.spec import FieldKey, LookaheadKey, ParserSpec
 
-CANONICAL_VERSION = 1
+# Bumped whenever a canonical document changes shape, so cache entries
+# and checkpoints written under the old shape miss cleanly.
+CANONICAL_VERSION = 2
 
 # CompileOptions fields that cannot change which program a *successful*
 # compile produces: execution-shape knobs and the persistence config.
 # ``certify`` only *observes* (DRAT logging + certificate emission), so
 # flipping it must not invalidate existing cache entries.
-# ``eqsat`` is deliberately NOT here: equality-saturation normalization
-# changes the spec the skeleton enumerates, so cache and checkpoint
-# entries from the two regimes must never mix.
 NON_SEMANTIC_OPTIONS = frozenset(
     {
         "parallel_workers",

@@ -25,6 +25,7 @@ job must reach one of them ("zero lost work").
 from __future__ import annotations
 
 import os
+import threading
 import time
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, Optional
@@ -59,9 +60,21 @@ OPTION_OVERRIDES = frozenset(
 )
 
 
+_id_lock = threading.Lock()
+_last_id_ms = 0
+
+
 def new_job_id() -> str:
-    """A collision-resistant job id (time-ordered for readable listings)."""
-    return f"{int(time.time() * 1000):013x}-{os.urandom(4).hex()}"
+    """A collision-resistant job id, time-ordered for readable listings.
+
+    The millisecond prefix strictly increases within a process, so ids
+    made in the same millisecond still sort in creation order — the
+    spool drains its inbox in id order and promises oldest first."""
+    global _last_id_ms
+    with _id_lock:
+        _last_id_ms = max(int(time.time() * 1000), _last_id_ms + 1)
+        stamp = _last_id_ms
+    return f"{stamp:013x}-{os.urandom(4).hex()}"
 
 
 @dataclass

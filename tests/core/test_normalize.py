@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from repro.benchgen import random_spec
+from repro.benchgen.suites import MUTATIONS, TABLE3_ROWS
+from repro.core.compiler import compile_spec
 from repro.core.normalize import (
     CompileError,
     canonicalize,
@@ -11,8 +16,11 @@ from repro.core.normalize import (
     scale_spec,
     unroll_self_loops,
 )
-from repro.ir import parse_spec
+from repro.core.options import CompileOptions
+from repro.hw.device import ipu_profile, tofino_profile
+from repro.ir import ACCEPT, REJECT, parse_spec
 from repro.ir.analysis import has_loops
+from repro.ir.rewrites import remove_unreachable_entries
 from tests.conftest import assert_specs_equivalent
 
 MESSY = """
@@ -211,6 +219,80 @@ class TestPrepare:
             spec, pipelined=False, minimize_widths=True, fix_varbits=True
         )
         assert has_loops(prepared)
+
+
+@pytest.mark.parametrize("pipelined", [False, True])
+@pytest.mark.parametrize("row", TABLE3_ROWS, ids=lambda b: b.row_label)
+def test_table3_prepared_spec_matches_input(row, pipelined):
+    """The front end the synthesizer sees is the row's own semantics,
+    whichever R1-R5 writing the row uses."""
+    spec = row.spec()
+    prepared, _plan = prepare_spec(
+        spec, pipelined=pipelined, minimize_widths=False, fix_varbits=False
+    )
+    rng = random.Random(0x7AB1E3)
+    # 20 bits (TestUnroll's bound) keeps the MPLS label stacks dense in
+    # the samples; the default 48 reaches the wider rows' later states.
+    for max_len in (20, 48):
+        assert_specs_equivalent(spec, prepared, rng, max_len=max_len)
+
+
+class TestJointlyCoveredRules:
+    """-R2 drops a rule that earlier rules cover only together.  Left in
+    place, such a dead back-edge reads as a multi-state cycle, which a
+    pipelined target cannot unroll."""
+
+    DEAD_BACK_EDGE = """
+    header h { a : 2; }
+    header g { b : 2; }
+    parser P {
+        state start {
+            extract(h.a);
+            transition select(h.a) { 0 : next; default : accept; }
+        }
+        state next {
+            extract(g.b);
+            transition select(g.b) {
+                0x0 &&& 0x2 : accept;
+                0x2 &&& 0x2 : reject;
+                0x1 &&& 0x1 : start;
+            }
+        }
+    }
+    """
+
+    def test_dead_back_edge_is_dropped(self, rng):
+        spec = parse_spec(self.DEAD_BACK_EDGE)
+        assert has_loops(spec)
+        clean = remove_unreachable_entries(spec)
+        assert [r.next_state for r in clean.states["next"].rules] == [
+            ACCEPT, REJECT,
+        ]
+        assert not has_loops(clean)
+        assert_specs_equivalent(spec, clean, rng, samples=150)
+
+    def test_pipelined_prepare_sees_no_cycle(self):
+        prepared, _plan = prepare_spec(
+            parse_spec(self.DEAD_BACK_EDGE),
+            pipelined=True, minimize_widths=True, fix_varbits=True,
+        )
+        assert not has_loops(prepared)
+
+    @pytest.mark.slow
+    def test_seeded_mutation_chain_compiles_alike_on_both_devices(self):
+        # +R2 parks a dead back-edge behind a catch-all that +R3 then
+        # splits in two, so no single earlier rule covers it.
+        spec = random_spec(
+            seed=116, num_states=5, max_field_width=6, max_rules=5
+        )
+        for mutation in ("+R1", "+R2", "+R3"):
+            spec = MUTATIONS[mutation](spec)
+        ipu = compile_spec(spec, ipu_profile(key_limit=8), CompileOptions())
+        tofino = compile_spec(
+            spec, tofino_profile(key_limit=8), CompileOptions()
+        )
+        assert ipu.ok and tofino.ok, (ipu.message, tofino.message)
+        assert ipu.num_entries == tofino.num_entries
 
 
 class TestCanonicalizeFixpoint:

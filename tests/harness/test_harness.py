@@ -21,8 +21,6 @@ from repro.harness import (
 from repro.harness.reporting import (
     fmt_speedup,
     fmt_time,
-    format_eqsat_summary,
-    format_span_breakdown,
     format_table,
     geometric_mean,
     speedup_of,
@@ -65,26 +63,6 @@ class TestReporting:
         text = format_table(["a", "bb"], [["1", "2"], ["333", "4"]])
         lines = text.splitlines()
         assert len({len(l) for l in lines}) == 1  # aligned columns
-
-    def test_eqsat_summary_surfaces_saturation_counters(self):
-        from repro.ir.eqsat import _SATURATE_CACHE, saturate_spec
-        from repro.ir.spec import parse_spec
-        from repro.obs import Tracer, use_tracer
-
-        spec = parse_spec(
-            "header h { a : 4; }\n"
-            "parser P { state start { extract(h.a); "
-            "transition accept; } }"
-        )
-        _SATURATE_CACHE.clear()  # a cache hit records no counters
-        tracer = Tracer()
-        with use_tracer(tracer), tracer.span("trace"):
-            saturate_spec(spec)
-        line = format_eqsat_summary(tracer)
-        assert line.startswith("eqsat: iterations ")
-        assert "classes 1" in line
-        assert format_eqsat_summary(Tracer()) == ""
-        assert "eqsat:" in format_span_breakdown(tracer)
 
 
 class TestTable3Row:

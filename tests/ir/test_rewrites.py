@@ -182,3 +182,29 @@ def test_rewrites_preserve_semantics_property(seed, rewrite_name):
     mutated = REWRITES[rewrite_name](spec)
     rng = random.Random(seed)
     assert_specs_equivalent(spec, mutated, rng, samples=60, max_len=24)
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 31), st.integers(0, 31)),
+        min_size=1, max_size=7,
+    )
+)
+@settings(max_examples=80, deadline=None)
+def test_remove_unreachable_keeps_exactly_the_rules_that_can_fire(cubes):
+    """-R2 is exact: a rule survives iff some key value reaches it first,
+    including rules that no single earlier rule covers."""
+    arms = " ".join(f"{v & m:#x} &&& {m:#x} : accept;" for v, m in cubes)
+    spec = parse_spec(
+        "header h { k : 5; } parser P { state start { extract(h.k); "
+        f"transition select(h.k) {{ {arms} }} }} }}"
+    )
+    rules = spec.states["start"].rules
+    fires = {
+        next(i for i, r in enumerate(rules) if r.matches([kv], [5]))
+        for kv in range(32)
+        if any(r.matches([kv], [5]) for r in rules)
+    }
+    kept = remove_unreachable_entries(spec).states["start"].rules
+    assert kept == tuple(rules[i] for i in sorted(fires))
+

@@ -63,6 +63,13 @@ class TestRoundTrip:
         assert rejection["permanent"] is False
         assert rejection["retry_after"] >= 1.0
 
+    def test_requests_drain_in_submission_order(self, tmp_path, device):
+        # Ids made within one millisecond must still sort in creation
+        # order, or a burst drains out of order.
+        client, _server, _service = make_pair(tmp_path)
+        reqs = [client.submit("parser p {", device) for _ in range(50)]
+        assert sorted(p.stem for p in client.inbox.iterdir()) == reqs
+
     def test_metrics_round_trip(self, tmp_path, spec_source, device):
         client, server, service = make_pair(tmp_path)
         client.submit(spec_source, device)

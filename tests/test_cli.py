@@ -478,74 +478,3 @@ class TestCacheMaintenanceFlags:
         out = capsys.readouterr().out
         assert "1 corrupt (1 quarantined)" in out
         assert "certificates: 0 ok, 0 invalid" in out
-
-
-CONGRUENT_SRC = """
-header h { a : 4; b : 4; c : 4; }
-parser Congruent {
-    state start {
-        extract(h.a);
-        transition select(h.a) { 1 : left; 2 : right; default : reject; }
-    }
-    state left  { extract(h.b); transition select(h.b) { 5 : tail; default : accept; } }
-    state right { extract(h.b); transition select(h.b) { 5 : tail; default : accept; } }
-    state tail  { extract(h.c); transition accept; }
-}
-"""
-
-
-class TestIrCanon:
-    @pytest.fixture
-    def congruent(self, tmp_path):
-        path = tmp_path / "congruent.p4sub"
-        path.write_text(CONGRUENT_SRC)
-        return str(path)
-
-    def test_prints_canonical_spec_and_stats(self, congruent, capsys):
-        assert main(["ir", "canon", congruent]) == 0
-        captured = capsys.readouterr()
-        # left/right merged -> canonical q0 naming, 3 states.
-        assert "state q0" in captured.out
-        assert "state left" not in captured.out
-        assert "# eqsat: classes=3" in captured.err
-        assert "saturated=True" in captured.err
-
-    def test_canonical_output_reparses_equivalently(
-        self, congruent, capsys
-    ):
-        import random
-
-        from repro.ir.spec import parse_spec
-
-        from .conftest import assert_specs_equivalent
-
-        assert main(["ir", "canon", congruent]) == 0
-        out = capsys.readouterr().out
-        assert_specs_equivalent(
-            parse_spec(CONGRUENT_SRC), parse_spec(out), random.Random(3)
-        )
-
-    def test_dot_emission(self, congruent, capsys):
-        assert main(["ir", "canon", congruent, "--dot"]) == 0
-        captured = capsys.readouterr()
-        assert captured.out.startswith('digraph "Congruent"')
-        assert "subgraph cluster_c" in captured.out
-        assert "left, right" in captured.out  # merged e-class label
-        assert "# class c" in captured.err
-
-    def test_budget_flags_bound_saturation(self, congruent, capsys):
-        assert main(
-            ["ir", "canon", congruent, "--max-iterations", "1"]
-        ) == 0
-        assert "iterations=1" in capsys.readouterr().err
-
-
-class TestCompileEqsatFlag:
-    def test_eqsat_on_matches_baseline_entries(self, source, capsys):
-        assert main(["compile", source, "--key-limit", "8",
-                     "--emit", "json"]) == 0
-        baseline = json.loads(capsys.readouterr().out)
-        assert main(["compile", source, "--key-limit", "8",
-                     "--emit", "json", "--eqsat", "on"]) == 0
-        saturated = json.loads(capsys.readouterr().out)
-        assert saturated["num_entries"] == baseline["num_entries"]
