@@ -1,6 +1,6 @@
 """ParserHawk core: the program-synthesis-based parser compiler."""
 
-from .cegis import CegisOutcome, SynthesisTimeout, synthesize_for_budget
+from .cegis import CegisOutcome, CegisSession, SynthesisTimeout
 from .compiler import ParserHawkCompiler, compile_spec
 from .encoder import EncodingOverflow, SymbolicProgram
 from .normalize import CompileError, canonicalize, prepare_spec, unroll_self_loops
@@ -26,6 +26,7 @@ from .verifier import Counterexample, verify_equivalent
 
 __all__ = [
     "CegisOutcome",
+    "CegisSession",
     "CompileError",
     "CompileOptions",
     "CompileResult",
@@ -51,7 +52,6 @@ __all__ = [
     "prepare_spec",
     "random_simulation_check",
     "select_result",
-    "synthesize_for_budget",
     "unroll_self_loops",
     "verify_equivalent",
 ]

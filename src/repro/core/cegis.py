@@ -1,6 +1,6 @@
 """The CEGIS loop (§5.2, Figure 13).
 
-``synthesize_for_budget`` runs synthesis/verification rounds for one fixed
+``CegisSession`` runs synthesis/verification rounds for one fixed
 resource budget (a skeleton).  The synthesis phase solves the accumulated
 test-case constraints with the CDCL solver; the verification phase runs the
 exact product-equivalence checker.  Counterexamples flow back as new test
@@ -242,9 +242,26 @@ class CegisSession:
     attempt, so a warm continuation can never converge on an iteration a
     cold schedule would not also have reached.
 
-    Construction wiring (``replay``, ``pool``, ``pool_base``,
-    ``on_counterexample``) is documented on :func:`synthesize_for_budget`,
-    which is the single-attempt convenience wrapper around this class.
+    ``replay`` seeds the run with counterexamples recorded by an earlier
+    (interrupted) attempt at the *same* budget.  Replay is faithful: each
+    replayed counterexample is preceded by the same ``solver.check`` call
+    the original iteration made, so the CDCL solver passes through the
+    identical state sequence and the resumed run converges to the same
+    program an uninterrupted run would — while skipping the replayed
+    iterations' candidate decoding and equivalence verification (the
+    expensive half of a CEGIS round).  ``on_counterexample`` is invoked
+    with each *newly* discovered counterexample's input, which is how the
+    checkpoint layer records them.
+
+    ``pool`` is the compile-wide :class:`TestPool`: its first
+    ``pool_base`` entries (all of it when None) are encoded as up-front
+    constraints — no solve, no verification — and any tests this run
+    generates or discovers are recorded back into it.  When the seeded
+    prefix already carries directed seed tests, this run reuses them
+    instead of regenerating its own (initial_tests depends on the spec,
+    not the budget).  ``pool_base`` exists for faithful crash-resume: a
+    resumed budget must see exactly the pool prefix the interrupted run
+    saw when it started, not entries recorded afterwards.
     """
 
     def __init__(
@@ -534,59 +551,3 @@ class CegisSession:
             )
             tracer.count("sat.clauses_added", outcome.clauses_added)
 
-
-def synthesize_for_budget(
-    skeleton: Skeleton,
-    rng: random.Random,
-    max_iterations: int = 40,
-    max_seconds: Optional[float] = None,
-    max_conflicts_per_solve: Optional[int] = None,
-    deadline: Optional[float] = None,
-    verify_max_configs: int = 60000,
-    directed_tests: bool = True,
-    replay: Optional[Sequence[Bits]] = None,
-    on_counterexample: Optional[Callable[[Bits], None]] = None,
-    pool: Optional[TestPool] = None,
-    pool_base: Optional[int] = None,
-    certify: bool = False,
-) -> CegisOutcome:
-    """Run CEGIS for one skeleton as a single cold attempt.  ``feasible=
-    False`` reports a proved UNSAT (no program in this budget); a timeout
-    raises :class:`SynthesisTimeout`.  Callers that want to *continue*
-    an expired attempt instead of re-running it hold a
-    :class:`CegisSession` and call :meth:`CegisSession.run` per slice.
-
-    ``replay`` seeds the run with counterexamples recorded by an earlier
-    (interrupted) attempt at the *same* budget.  Replay is faithful: each
-    replayed counterexample is preceded by the same ``solver.check`` call
-    the original iteration made, so the CDCL solver passes through the
-    identical state sequence and the resumed run converges to the same
-    program an uninterrupted run would — while skipping the replayed
-    iterations' candidate decoding and equivalence verification (the
-    expensive half of a CEGIS round).  ``on_counterexample`` is invoked
-    with each *newly* discovered counterexample's input, which is how the
-    checkpoint layer records them.
-
-    ``pool`` is the compile-wide :class:`TestPool`: its first
-    ``pool_base`` entries (all of it when None) are encoded as up-front
-    constraints — no solve, no verification — and any tests this run
-    generates or discovers are recorded back into it.  When the seeded
-    prefix already carries directed seed tests, this run reuses them
-    instead of regenerating its own (initial_tests depends on the spec,
-    not the budget).  ``pool_base`` exists for faithful crash-resume: a
-    resumed budget must see exactly the pool prefix the interrupted run
-    saw when it started, not entries recorded afterwards."""
-    session = CegisSession(
-        skeleton,
-        rng,
-        max_iterations=max_iterations,
-        max_conflicts_per_solve=max_conflicts_per_solve,
-        verify_max_configs=verify_max_configs,
-        directed_tests=directed_tests,
-        replay=replay,
-        on_counterexample=on_counterexample,
-        pool=pool,
-        pool_base=pool_base,
-        certify=certify,
-    )
-    return session.run(max_seconds=max_seconds, deadline=deadline)

@@ -40,11 +40,7 @@ from ..persist import (
     write_certificate,
 )
 from ..resilience import CompileFault
-from .cegis import (
-    CegisSession,
-    SynthesisTimeout,
-    synthesize_for_budget,
-)
+from .cegis import CegisSession, SynthesisTimeout
 from .encoder import EncodingOverflow
 from .normalize import CompileError, prepare_spec
 from .options import CompileOptions
@@ -86,12 +82,7 @@ class ParserHawkCompiler:
 
     # ------------------------------------------------------------------
     def compile(
-        self,
-        spec: ParserSpec,
-        device: DeviceProfile,
-        *,
-        checkpoint_dir: Optional[str] = None,
-        resume: Optional[bool] = None,
+        self, spec: ParserSpec, device: DeviceProfile
     ) -> CompileResult:
         """Compile ``spec`` for ``device``.
 
@@ -99,23 +90,20 @@ class ParserHawkCompiler:
 
         * a compile cache (``options.cache_dir``) is consulted before any
           synthesis and fed on success;
-        * a checkpoint directory (``checkpoint_dir`` argument or
-          ``options.checkpoint_dir``) makes CEGIS progress durable;
-          ``resume`` (argument or ``options.resume``) reloads a matching
+        * a checkpoint directory (``options.checkpoint_dir``) makes CEGIS
+          progress durable; ``options.resume`` reloads a matching
           checkpoint so an interrupted compile restarts seeded with all
           previously discovered counterexamples and skips budgets proved
           UNSAT.  Timeout/fault results then carry ``checkpoint_path``
           naming the file that continues them.
         """
         options = self.options
-        ckpt_dir = checkpoint_dir or options.checkpoint_dir
-        do_resume = options.resume if resume is None else resume
         stats = CompileStats()
         tracer = get_tracer()
 
         cache = cache_for_options(options)
         key = ""
-        if cache is not None or ckpt_dir:
+        if cache is not None or options.checkpoint_dir:
             key = compile_key(spec, device, options)
         if cache is not None:
             hit = cache.lookup(key, device)
@@ -125,12 +113,12 @@ class ParserHawkCompiler:
                     hit.certificate_path = str(cert)
                 return hit
         manager: Optional[CheckpointManager] = None
-        if ckpt_dir:
+        if options.checkpoint_dir:
             manager = CheckpointManager(
-                ckpt_dir,
+                options.checkpoint_dir,
                 key,
                 interval_seconds=options.checkpoint_interval_seconds,
-                resume=do_resume,
+                resume=options.resume,
             )
 
         def resumable(result: CompileResult) -> CompileResult:
@@ -604,16 +592,14 @@ class ParserHawkCompiler:
             allow_loops=allow_loops,
         )
         try:
-            outcome = synthesize_for_budget(
+            outcome = CegisSession(
                 skeleton,
                 rng,
                 max_iterations=options.max_cegis_iterations,
-                max_seconds=slice_cap,
                 max_conflicts_per_solve=options.synthesis_max_conflicts,
-                deadline=deadline,
                 directed_tests=options.directed_seed_tests,
                 certify=options.certify,
-            )
+            ).run(max_seconds=slice_cap, deadline=deadline)
         except (
             SynthesisTimeout, EncodingOverflow, VerificationBudgetExceeded
         ) as exc:

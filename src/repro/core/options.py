@@ -1,8 +1,9 @@
 """Compilation options: the §6 optimization toggles and search budgets.
 
 Each ``optN`` flag corresponds to one optimization from the paper; the
-Table 5 ablation benches flip them individually.  ``all_disabled`` is the
-"Orig" arm of Table 3 (naive encoding).
+Table 5 ablation benches flip them individually.  Opt3 (pre-allocated
+extraction) has no flag: the skeleton is built on it.  ``all_disabled``
+is the "Orig" arm of Table 3 (naive encoding).
 """
 
 from __future__ import annotations
@@ -21,9 +22,6 @@ class CompileOptions:
     # §6.2 bit-width minimization: shrink fields irrelevant to control flow
     # to 1 bit during synthesis, restore afterwards.
     opt2_bitwidth_minimization: bool = True
-    # §6.3 pre-allocated field extraction: fix which impl state extracts
-    # which fields; the solver only orders the states.
-    opt3_preallocation: bool = True
     # §6.4 constant synthesis: one-hot candidate pools for TCAM value/mask
     # pairs instead of free symbolic bit-vectors.
     opt4_constant_synthesis: bool = True
@@ -34,7 +32,8 @@ class CompileOptions:
     opt5_key_grouping: bool = True
     # §6.6 fixed-size treatment of varbit fields during synthesis.
     opt6_fixed_varbits: bool = True
-    # §6.7 portfolio parallelism (loop-aware vs loop-free, key-limit levels).
+    # §6.7.1 portfolio: on loop-capable targets, try the loop-free arm
+    # before the loop-aware one for loop-free specs.
     opt7_parallelism: bool = True
     parallel_workers: int = 1          # 1 = deterministic sequential portfolio
     # Directed seed tests for CEGIS (our addition; the paper seeds with a
@@ -45,8 +44,9 @@ class CompileOptions:
     # up-front constraints into every subsequent budget's CEGIS run.
     # Valid tests only ever prune spec-inequivalent candidates, so
     # per-budget feasibility — and the minimal budget found — is
-    # unchanged; the knob exists for A/B measurement (CLI
-    # --no-test-reuse, benchmarks/bench_compile_speed).
+    # unchanged.  The memoryless path (CLI --no-test-reuse) is the
+    # reference tests/core/test_compiler.py::TestTestReuse checks
+    # resources and CEGIS iterations against.
     test_reuse: bool = True
 
     # CEGIS budgets.
@@ -59,7 +59,6 @@ class CompileOptions:
     # Resource search.
     max_extra_entries: int = 8         # beyond the lower bound, per attempt
     max_aux_states_per_state: int = 4  # key-splitting auxiliaries
-    minimize_stages: bool = True       # lexicographic (stages, entries) on IPU
     # Iterative-deepening schedule over budgets (§6.7.2 portfolio,
     # sequential emulation): each budget gets a time slice per round.
     budget_time_slice: float = 10.0
@@ -98,7 +97,6 @@ class CompileOptions:
         base = cls(
             opt1_spec_guided_keys=False,
             opt2_bitwidth_minimization=False,
-            opt3_preallocation=False,
             opt4_constant_synthesis=False,
             opt4_adjacent_concat=False,
             opt5_key_grouping=False,
@@ -113,12 +111,16 @@ class CompileOptions:
         return replace(cls(), **overrides)
 
     def enabled_summary(self) -> str:
+        """The enabled optimizations in the paper's Opt1-Opt7 numbering.
+        Opt3 (§6.3 pre-allocated extraction) is structural in the
+        skeleton — one extraction unit per spec state — so it is always
+        named."""
         bits = []
         for i, flag in enumerate(
             [
                 self.opt1_spec_guided_keys,
                 self.opt2_bitwidth_minimization,
-                self.opt3_preallocation,
+                True,
                 self.opt4_constant_synthesis,
                 self.opt5_key_grouping,
                 self.opt6_fixed_varbits,
@@ -128,4 +130,4 @@ class CompileOptions:
         ):
             if flag:
                 bits.append(f"Opt{i}")
-        return "+".join(bits) if bits else "none"
+        return "+".join(bits)

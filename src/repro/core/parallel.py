@@ -3,7 +3,8 @@
 The paper distributes subproblems over a server pool: loop-aware vs
 loop-free arms (§6.7.1) and per-hardware-constraint-level arms (§6.7.2,
 e.g. one subproblem per transition-key width limit), halting as soon as
-any subproblem yields a valid outcome.
+any subproblem yields a valid outcome.  Here the arms are the key-limit
+levels; each arm's compile runs the loop modes in sequence.
 
 ``portfolio_compile`` reproduces that with a ``ProcessPoolExecutor``
 where each worker runs a full sequential compile of one subproblem.  The
@@ -45,7 +46,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..hw.device import DeviceProfile
-from ..ir.analysis import has_loops
 from ..ir.spec import ParserSpec
 from ..obs import Tracer, get_tracer, use_tracer
 from ..persist import (
@@ -89,18 +89,16 @@ class Subproblem:
 def derive_subproblems(
     spec: ParserSpec, device: DeviceProfile, options: CompileOptions
 ) -> List[Subproblem]:
-    """The §6.7 subproblem set for one compilation.
+    """The §6.7.2 subproblem set for one compilation: key-limit levels.
 
-    * key-limit levels: the device limit plus tighter limits down to the
-      spec's widest actually-needed slice — a tighter limit shrinks the
-      candidate pools, so those arms often finish first and their results
-      are valid on the real device (a narrower key always fits);
-    * loop arms on loop-capable devices for loop-free specs: the loop-free
-      encoding is smaller and usually wins the race (Figure 20).
+    The device limit comes first, then tighter limits down to the spec's
+    widest actually-needed slice — a tighter limit shrinks the candidate
+    pools, so those arms often finish first and their results are valid
+    on the real device (a narrower key always fits).  Each arm's compile
+    runs §6.7.1's loop modes in sequence itself
+    (``ParserHawkCompiler._portfolio_arms``), the one place that orders
+    them.
     """
-    subproblems: List[Subproblem] = []
-    priority = 0
-
     key_levels = [device.key_limit]
     widest_key = max(
         (s.key_width for s in spec.states.values()), default=0
@@ -109,29 +107,17 @@ def derive_subproblems(
         if 0 < level < device.key_limit and level not in key_levels:
             key_levels.append(level)
 
-    loop_arms = [None]
-    if (
-        device.allows_loops
-        and not device.is_pipelined
-        and not has_loops(spec)
-    ):
-        loop_arms = [False, True]   # loop-free arm first (Figure 20)
-
-    for level in key_levels:
-        for loop_arm in loop_arms:
-            dev = device if level == device.key_limit else (
-                device.with_limits(key_limit=level)
-            )
-            opts = options.with_(parallel_workers=1)
-            if loop_arm is False:
-                opts = opts.with_(opt7_parallelism=True)
-            label = f"key<={level}" + (
-                "" if loop_arm is None else
-                (",loop-free" if loop_arm is False else ",loop-aware")
-            )
-            subproblems.append(Subproblem(label, dev, opts, priority))
-            priority += 1
-    return subproblems
+    opts = options.with_(parallel_workers=1)
+    return [
+        Subproblem(
+            f"key<={level}",
+            device if level == device.key_limit
+            else device.with_limits(key_limit=level),
+            opts,
+            priority,
+        )
+        for priority, level in enumerate(key_levels)
+    ]
 
 
 def _run_subproblem(

@@ -193,16 +193,6 @@ class CheckpointManager:
             for value, length, origin in arm.get("pool", [])
         ]
 
-    def record_pool_base(
-        self, arm_key: str, budget: BudgetKey, base: int
-    ) -> None:
-        budget_doc = self._arm(arm_key)["budgets"].setdefault(
-            _budget_id(budget), {"cex": []}
-        )
-        if budget_doc.get("pool_base") != base:
-            budget_doc["pool_base"] = base
-            self._dirty = True
-
     def begin_attempt(
         self, arm_key: str, budget: BudgetKey, base: int
     ) -> None:

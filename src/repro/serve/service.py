@@ -718,6 +718,8 @@ class CompileService:
         fault_point("serve.worker", label=job.compile_key)
         overrides: Dict[str, Any] = {
             "cache_dir": str(self.cache.directory) if self.cache else None,
+            "checkpoint_dir": str(self.checkpoint_dir_for(job.compile_key)),
+            "resume": True,
         }
         requested = job.options.get("total_max_seconds")
         if remaining is not None:
@@ -729,12 +731,7 @@ class CompileService:
         options = job.build_options(**overrides)
         compiler = ParserHawkCompiler(options)
         self._count("serve.compile_launched")
-        return compiler.compile(
-            job.build_spec(),
-            job.build_device(),
-            checkpoint_dir=str(self.checkpoint_dir_for(job.compile_key)),
-            resume=True,
-        )
+        return compiler.compile(job.build_spec(), job.build_device())
 
     def _retry(self, job: Job, exc: Optional[BaseException]) -> bool:
         """Decide (and pace) a transient-failure retry; True = go again."""

@@ -17,16 +17,10 @@ from .terms import BOOL, Term
 
 # Default for constant-aware gate folding (see BitBlaster).  Folding is
 # semantics-preserving — it only short-circuits gates whose output is
-# already determined — so this stays True; the flag exists so benchmarks
-# can A/B the emitted-clause counts with folding disabled.
+# already determined — so this stays True.  The unfolded encoding is the
+# reference that tests/smt/test_bitblast.py::TestConstantFolding checks
+# clause counts, SAT/UNSAT verdicts and models against.
 FOLD_CONSTANTS = True
-
-# Default for the structural gate cache (see BitBlaster).  Also
-# semantics-preserving, so it stays True; the flag lets benchmarks
-# isolate one mechanism at a time — with both enabled, the gate cache
-# absorbs most of the duplicate structure that folding would otherwise
-# be credited for, and the fold A/B would read as a no-op.
-GATE_CACHE = True
 
 
 class BitBlaster:
@@ -45,7 +39,6 @@ class BitBlaster:
         self,
         solver: SatSolver,
         fold_constants: bool | None = None,
-        gate_cache: bool | None = None,
     ) -> None:
         self.solver = solver
         self._bool_cache: Dict[Term, int] = {}
@@ -53,9 +46,6 @@ class BitBlaster:
         self._true_lit: int | None = None
         self._fold = (
             FOLD_CONSTANTS if fold_constants is None else fold_constants
-        )
-        self._use_gate_cache = (
-            GATE_CACHE if gate_cache is None else gate_cache
         )
         # Structural CNF cache: gate outputs keyed by (op, canonical
         # input-literal tuple).  The term caches above only hash-cons
@@ -123,7 +113,7 @@ class BitBlaster:
         if len(inputs) == 1:
             return inputs[0]
         key = ("and", tuple(sorted(inputs)))
-        hit = self._gate_cache.get(key) if self._use_gate_cache else None
+        hit = self._gate_cache.get(key)
         if hit is not None:
             self.gate_cache_hits += 1
             return hit
@@ -132,8 +122,7 @@ class BitBlaster:
         for l in inputs:
             add([neg(out), l])
         add([out] + [neg(l) for l in inputs])
-        if self._use_gate_cache:
-            self._gate_cache[key] = out
+        self._gate_cache[key] = out
         return out
 
     def _xor_gate(self, a: int, b: int) -> int:
@@ -151,7 +140,7 @@ class BitBlaster:
             if a == (b ^ 1):
                 return self.true_lit()
         key = ("xor", a, b) if a <= b else ("xor", b, a)
-        hit = self._gate_cache.get(key) if self._use_gate_cache else None
+        hit = self._gate_cache.get(key)
         if hit is not None:
             self.gate_cache_hits += 1
             return hit
@@ -161,8 +150,7 @@ class BitBlaster:
         add([neg(out), neg(a), neg(b)])
         add([out, neg(a), b])
         add([out, a, neg(b)])
-        if self._use_gate_cache:
-            self._gate_cache[key] = out
+        self._gate_cache[key] = out
         return out
 
     def _ite_gate(self, c: int, t: int, e: int) -> int:
@@ -186,7 +174,7 @@ class BitBlaster:
                 return self._and_gate([c, t])
         # Canonical form: condition stored with positive polarity.
         key = ("ite", c, t, e) if not c & 1 else ("ite", c ^ 1, e, t)
-        hit = self._gate_cache.get(key) if self._use_gate_cache else None
+        hit = self._gate_cache.get(key)
         if hit is not None:
             self.gate_cache_hits += 1
             return hit
@@ -196,8 +184,7 @@ class BitBlaster:
         add([neg(c), t, neg(out)])
         add([c, neg(e), out])
         add([c, e, neg(out)])
-        if self._use_gate_cache:
-            self._gate_cache[key] = out
+        self._gate_cache[key] = out
         return out
 
     def _full_adder(self, a: int, b: int, cin: int) -> tuple[int, int]:
@@ -225,7 +212,7 @@ class BitBlaster:
         if len(inputs) == 1:
             return inputs[0]
         key = ("or", tuple(sorted(inputs)))
-        hit = self._gate_cache.get(key) if self._use_gate_cache else None
+        hit = self._gate_cache.get(key)
         if hit is not None:
             self.gate_cache_hits += 1
             return hit
@@ -234,8 +221,7 @@ class BitBlaster:
         for l in inputs:
             add([neg(l), out])
         add([neg(out)] + inputs)
-        if self._use_gate_cache:
-            self._gate_cache[key] = out
+        self._gate_cache[key] = out
         return out
 
     # ------------------------------------------------------------------

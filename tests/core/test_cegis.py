@@ -7,12 +7,7 @@ import random
 import pytest
 
 from repro.core import CompileOptions, build_skeleton, prepare_spec
-from repro.core.cegis import (
-    CegisSession,
-    SynthesisTimeout,
-    initial_tests,
-    synthesize_for_budget,
-)
+from repro.core.cegis import CegisSession, SynthesisTimeout, initial_tests
 from repro.core.skeleton import entry_lower_bound
 from repro.core.testpool import TestPool as SharedPool
 from repro.hw import tofino_profile
@@ -111,7 +106,7 @@ class TestSynthesizeForBudget:
         skeleton = build_skeleton(
             synth, TOFINO, CompileOptions(), num_entries=3, allow_loops=False
         )
-        outcome = synthesize_for_budget(skeleton, random.Random(0))
+        outcome = CegisSession(skeleton, random.Random(0)).run()
         assert outcome.feasible and outcome.program is not None
         assert outcome.iterations >= 1
 
@@ -122,7 +117,7 @@ class TestSynthesizeForBudget:
         skeleton = build_skeleton(
             synth, TOFINO, CompileOptions(), num_entries=2, allow_loops=False
         )
-        outcome = synthesize_for_budget(skeleton, random.Random(0))
+        outcome = CegisSession(skeleton, random.Random(0)).run()
         assert not outcome.feasible
 
     def test_timeout_raises(self, dispatch):
@@ -133,9 +128,7 @@ class TestSynthesizeForBudget:
             synth, TOFINO, CompileOptions(), num_entries=3, allow_loops=False
         )
         with pytest.raises(SynthesisTimeout):
-            synthesize_for_budget(
-                skeleton, random.Random(0), max_seconds=0.0
-            )
+            CegisSession(skeleton, random.Random(0)).run(max_seconds=0.0)
 
 
 class TestCegisSessionWarm:
@@ -162,7 +155,7 @@ class TestCegisSessionWarm:
         # Attempt 2 continues the same session to convergence.
         outcome = session.run(max_seconds=60.0)
         assert outcome.feasible and outcome.program is not None
-        cold = synthesize_for_budget(self._skeleton(dispatch), random.Random(0))
+        cold = CegisSession(self._skeleton(dispatch), random.Random(0)).run()
         assert _entry_rows(outcome.program) == _entry_rows(cold.program)
         assert outcome.iterations == cold.iterations
 
@@ -175,7 +168,7 @@ class TestCegisSessionWarm:
             session.run(max_seconds=0.0)
         first = exc.value.outcome
         second = session.run(max_seconds=60.0)
-        cold = synthesize_for_budget(self._skeleton(dispatch), random.Random(0))
+        cold = CegisSession(self._skeleton(dispatch), random.Random(0)).run()
         # The interrupted iteration restarts, so the attempts sum to one
         # extra count — but never to duplicated solver work.
         assert first.iterations + second.iterations == cold.iterations + 1
@@ -211,20 +204,20 @@ class TestPoolReplayInCegis:
     def test_pool_seeds_replace_live_iterations(self, dispatch):
         synth, skeleton = self._skeleton(dispatch)
         pool = SharedPool(synth)
-        first = synthesize_for_budget(
+        first = CegisSession(
             skeleton,
             random.Random(0),
             directed_tests=False,
             on_counterexample=lambda bits: pool.add(bits),
             pool=pool,
-        )
+        ).run()
         assert first.feasible and first.program is not None
         assert len(pool) >= 1           # seed + any counterexamples
         # A second run over the same layout replays the pool up front.
         _synth2, skeleton2 = self._skeleton(dispatch)
-        second = synthesize_for_budget(
+        second = CegisSession(
             skeleton2, random.Random(0), directed_tests=False, pool=pool
-        )
+        ).run()
         assert second.feasible and second.program is not None
         assert second.pool_reused == len(pool)
         assert second.iterations <= first.iterations

@@ -280,7 +280,6 @@ class TestStatsAndOptions:
         opts = CompileOptions(
             opt1_spec_guided_keys=True,
             opt2_bitwidth_minimization=False,
-            opt3_preallocation=True,
             opt4_constant_synthesis=False,
             opt5_key_grouping=False,
             total_max_seconds=120,
@@ -288,6 +287,20 @@ class TestStatsAndOptions:
         result = ParserHawkCompiler(opts).compile(dispatch_spec, TOFINO)
         assert result.ok
         assert_program_matches_spec(dispatch_spec, result.program, rng)
+
+    def test_gate_cache_hits_without_constant_synthesis(self, dispatch_spec):
+        # Gate-cache hits need repeated gate structure, which the free
+        # TCAM value/mask bit-vectors of an Opt4-off encoding provide
+        # (at default options this spec records none); reusing those
+        # gates must not change the answer.
+        default = compile_spec(dispatch_spec, TOFINO)
+        result = compile_spec(
+            dispatch_spec, TOFINO,
+            CompileOptions(opt4_constant_synthesis=False),
+        )
+        assert result.ok
+        assert result.stats.sat_gate_cache_hits > 0
+        assert result.num_entries == default.num_entries == 5
 
     def test_deterministic_across_runs(self, dispatch_spec):
         r1 = compile_spec(dispatch_spec, TOFINO)

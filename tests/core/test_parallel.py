@@ -17,7 +17,6 @@ from repro.core import (
     select_result,
 )
 from repro.hw import tofino_profile
-from repro.ir import parse_spec
 from repro.obs import Tracer, use_tracer
 from tests.conftest import assert_program_matches_spec
 
@@ -45,30 +44,18 @@ def _ok(violations=()) -> CompileResult:
 
 
 class TestSubproblemDerivation:
-    def test_loop_free_arm_first_for_acyclic_spec(self, dispatch_spec):
-        subs = derive_subproblems(dispatch_spec, DEVICE, CompileOptions())
-        assert "loop-free" in subs[0].label
-
     def test_key_levels_derived(self, dispatch_spec):
         subs = derive_subproblems(dispatch_spec, DEVICE, CompileOptions())
         levels = {s.device.key_limit for s in subs}
         assert DEVICE.key_limit in levels
         assert len(levels) >= 2  # at least one tighter level
 
-    def test_loopy_spec_single_loop_arm(self):
-        spec = parse_spec(
-            """
-            header m { v : 2 stack 2; b : 1 stack 2; }
-            parser P {
-                state start {
-                    extract(m);
-                    transition select(m.b) { 1 : accept; default : start; }
-                }
-            }
-            """
-        )
-        subs = derive_subproblems(spec, DEVICE, CompileOptions())
-        assert all("loop-free" not in s.label for s in subs)
+    def test_no_two_arms_share_a_compile(self, dispatch_spec):
+        # Each arm's compile runs the §6.7.1 loop modes itself, so arms
+        # that differ only in loop mode would race identical compiles.
+        subs = derive_subproblems(dispatch_spec, DEVICE, CompileOptions())
+        problems = [(s.device, s.options) for s in subs]
+        assert len(set(problems)) == len(problems)
 
     def test_priorities_unique_and_ordered(self, dispatch_spec):
         subs = derive_subproblems(dispatch_spec, DEVICE, CompileOptions())

@@ -171,10 +171,13 @@ class TestPoolPersistence:
         assert resumed.pool_base("loop:other", BUDGET) is None
 
     def test_pool_base_recorded_without_attempt_reset(self, tmp_path):
+        # Counterexamples an attempt discovers are appended to its
+        # record; they never reset the pool base it started from.
         manager = CheckpointManager(tmp_path, KEY)
+        manager.begin_attempt(ARM, BUDGET, 2)
         manager.record_counterexample(ARM, BUDGET, Bits(1, 2))
-        manager.record_pool_base(ARM, BUDGET, 2)
+        manager.record_counterexample(ARM, BUDGET, Bits(3, 2))
         manager.flush(force=True)
         resumed = CheckpointManager(tmp_path, KEY, resume=True)
         assert resumed.pool_base(ARM, BUDGET) == 2
-        assert resumed.replay_for(ARM, BUDGET) == [Bits(1, 2)]
+        assert resumed.replay_for(ARM, BUDGET) == [Bits(1, 2), Bits(3, 2)]

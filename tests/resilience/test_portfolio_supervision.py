@@ -21,8 +21,8 @@ from repro.core import (
 from repro.obs import Tracer, use_tracer
 from repro.resilience import WorkerCrash, injection
 
-FIRST_ARM = "key<=8,loop-free"     # highest-priority arm for the fixture spec
-SECOND_ARM = "key<=8,loop-aware"
+FIRST_ARM = "key<=8"     # highest-priority arm for the fixture spec
+SECOND_ARM = "key<=4"
 
 
 def _exit_hard():
