@@ -26,16 +26,11 @@ from ..ir.simulator import (
 )
 from ..ir.spec import ParserSpec
 from ..obs import get_tracer
-from ..resilience import CompileFault
 from ..smt import SAT, Solver, UNKNOWN, UNSAT
 from .encoder import SymbolicProgram
 from .skeleton import Skeleton
 from .testpool import ORIGIN_SEED, TestPool
-from .verifier import (
-    Counterexample,
-    VerificationBudgetExceeded,
-    verify_equivalent,
-)
+from .verifier import verify_equivalent
 
 # Pool tests are replayed in chunks with a budgeted solve between chunks.
 # One solve per test (what live CEGIS does) wastes the per-solve fixed
@@ -58,44 +53,16 @@ POOL_WARMUP_MAX_CONFLICTS = 400
 
 
 class SynthesisTimeout(Exception):
-    """The synthesis budget (time or conflicts) ran out.
-
-    ``outcome`` carries the partial :class:`CegisOutcome` accumulated
-    before the budget expired, so callers can fold the aborted attempt's
-    time and solver counters into their stats (keeping ``CompileStats``
-    consistent with the trace, which already saw those solves)."""
-
-    def __init__(self, message: str, outcome: "CegisOutcome" = None) -> None:
-        super().__init__(message)
-        self.outcome = outcome
+    """The synthesis budget (time or conflicts) ran out."""
 
 
 @dataclass
 class CegisOutcome:
+    """How one attempt ended.  The attempt's work (solves, iterations,
+    clauses) is recorded on the ambient tracer."""
+
     program: Optional[TcamProgram]
     feasible: bool
-    iterations: int = 0
-    # Counterexamples re-applied from a checkpoint (repro.persist) before
-    # live iterations started; they skip candidate decode + verification.
-    replayed: int = 0
-    # Tests seeded up front from the shared TestPool (cross-budget
-    # reuse); each one is a CEGIS round-trip (SAT solve +
-    # product-equivalence verification) this run did not have to make.
-    pool_reused: int = 0
-    # CNF clauses this run's solver received from the bit-blaster
-    # (constant folding shrinks this without changing satisfiability).
-    clauses_added: int = 0
-    synthesis_seconds: float = 0.0
-    verification_seconds: float = 0.0
-    counterexamples: List[Counterexample] = field(default_factory=list)
-    sat_conflicts: int = 0
-    sat_decisions: int = 0
-    sat_propagations: int = 0
-    sat_restarts: int = 0
-    sat_learnt_clauses: int = 0
-    # Gate-level CNF cache hits (hash-consed bit-blasting): each hit is a
-    # Tseitin gate a warm or repeated encoding did not have to re-emit.
-    gate_cache_hits: int = 0
     # Certifying runs only.  On a winner: the SHA-256 of the exact CNF
     # clause stream the solver saw plus the ordered packet-level inputs
     # whose behaviour was encoded as constraints (the certificate's
@@ -325,10 +292,10 @@ class CegisSession:
         for constraint in self._sp.encode_test(bits, expected):
             self._solver.add(constraint)
 
-    def _attach_unsat_proof(self, outcome: CegisOutcome) -> None:
-        """Hand the refutation to the caller on a proved-UNSAT outcome."""
-        if self.certify:
-            outcome.proof = self._solver.proof
+    def _refuted(self) -> CegisOutcome:
+        """A proved-UNSAT outcome, carrying the refutation when
+        certifying (the solver logs no proof otherwise)."""
+        return CegisOutcome(None, False, proof=self._solver.proof)
 
     # ------------------------------------------------------------------
     def run(
@@ -338,15 +305,13 @@ class CegisSession:
     ) -> CegisOutcome:
         """One attempt.  Returns the outcome (``feasible=False`` for a
         proved UNSAT); raises :class:`SynthesisTimeout` when the attempt's
-        budget expires, leaving the session resumable.  The returned
-        outcome carries only *this attempt's* measurements (time, solver
-        deltas, clauses), so callers can sum attempts without double
-        counting."""
+        budget expires, leaving the session resumable.  The attempt's
+        work lands on the ambient tracer once, as it happens, so
+        attempts of one session add up without double counting."""
         spec = self.spec
         sp = self._sp
         solver = self._solver
         max_steps = self.max_steps
-        outcome = CegisOutcome(program=None, feasible=True)
         tracer = get_tracer()
         started = time.monotonic()
         clauses_at_entry = solver.sat_solver.num_clauses_added
@@ -362,51 +327,27 @@ class CegisSession:
             return min(limits)
 
         def solve_once(warmup_conflicts: Optional[int] = None) -> str:
-            """One budgeted ``solver.check`` with stat accumulation
+            """One budgeted ``solver.check`` under a ``sat.solve`` span
             (shared by replayed and live iterations, so both stay
-            comparable in the trace and in ``CompileStats``).
-            ``warmup_conflicts`` further caps the conflict budget for
-            pool-replay warm-up solves."""
+            comparable in the trace).  ``warmup_conflicts`` further caps
+            the conflict budget for pool-replay warm-up solves."""
             budget_s = remaining()
             if budget_s is not None and budget_s <= 0:
-                raise SynthesisTimeout("CEGIS time budget exhausted", outcome)
+                raise SynthesisTimeout("CEGIS time budget exhausted")
             max_conflicts = self.max_conflicts_per_solve
             if warmup_conflicts is not None:
                 max_conflicts = (
                     warmup_conflicts if max_conflicts is None
                     else min(max_conflicts, warmup_conflicts)
                 )
-            with tracer.span("sat.solve") as solve_span:
-                try:
-                    status = solver.check(
-                        max_seconds=budget_s,
-                        max_conflicts=max_conflicts,
-                    )
-                except CompileFault as exc:
-                    # Attach the partial outcome so callers can fold this
-                    # attempt's measurements into their stats (mirrors
-                    # SynthesisTimeout / VerificationBudgetExceeded).
-                    if exc.outcome is None:
-                        exc.outcome = outcome
-                    raise
-                finally:
-                    outcome.synthesis_seconds += solve_span.elapsed()
-            # Per-solve deltas (not lifetime totals): matches what the
-            # tracing layer records, so CompileStats and the span tree
-            # agree.  Propagations notably differ — clause insertion also
-            # propagates, outside any solve() call.
-            delta = solver.last_check_stats()
-            outcome.sat_conflicts += delta["conflicts"]
-            outcome.sat_decisions += delta["decisions"]
-            outcome.sat_propagations += delta["propagations"]
-            outcome.sat_restarts += delta["restarts"]
-            outcome.sat_learnt_clauses += delta["learned"]
-            outcome.gate_cache_hits += delta.get("gate_cache_hits", 0)
-            return status
+            with tracer.span("sat.solve"):
+                return solver.check(
+                    max_seconds=budget_s, max_conflicts=max_conflicts
+                )
 
         # Everything below adds clauses; the finally block snapshots the
         # solver's insertion count so every exit path (success, UNSAT,
-        # timeout, fault) reports how many CNF clauses this attempt cost.
+        # timeout, fault) counts how many CNF clauses this attempt cost.
         try:
             if not self._structural_done:
                 for constraint in sp.structural_constraints():
@@ -438,15 +379,12 @@ class CegisSession:
                             warmup_conflicts=POOL_WARMUP_MAX_CONFLICTS
                         )
                     if status == UNSAT:
-                        outcome.feasible = False
-                        self._attach_unsat_proof(outcome)
-                        return outcome
+                        return self._refuted()
                     self._since_solve = 0
                 self._encoded_inputs.add(bits)
                 self._encode_test(bits, expected)
                 self._pool_pos += 1
                 self._since_solve += 1
-                outcome.pool_reused += 1
                 tracer.count("tests.pool_hits")
                 if origin != ORIGIN_SEED:
                     tracer.count("cex.reused")
@@ -477,60 +415,41 @@ class CegisSession:
                 if expected.outcome == OUTCOME_OVERRUN:
                     self._replay_pos += 1
                     continue
-                with tracer.span("cegis.replay", index=outcome.replayed + 1):
+                with tracer.span("cegis.replay", index=self._replay_pos + 1):
                     status = solve_once()
                 if status == UNSAT:
-                    outcome.feasible = False
-                    self._attach_unsat_proof(outcome)
-                    return outcome
+                    return self._refuted()
                 if status == UNKNOWN:
-                    raise SynthesisTimeout(
-                        "SAT solver budget exhausted", outcome
-                    )
+                    raise SynthesisTimeout("SAT solver budget exhausted")
                 self._encode_test(bits, expected)
                 self._replay_pos += 1
-                outcome.replayed += 1
                 tracer.count("cegis.replayed")
 
             while self._iterations < self.max_iterations:
                 self._iterations += 1
-                outcome.iterations += 1
                 tracer.count("cegis.iterations")
                 with tracer.span("cegis.iteration", index=self._iterations):
                     status = solve_once()
                     if status == UNSAT:
-                        outcome.feasible = False
-                        self._attach_unsat_proof(outcome)
-                        return outcome
+                        return self._refuted()
                     if status == UNKNOWN:
-                        raise SynthesisTimeout(
-                            "SAT solver budget exhausted", outcome
-                        )
+                        raise SynthesisTimeout("SAT solver budget exhausted")
                     candidate = sp.decode(solver.model())
-                    with tracer.span("verify") as verify_span:
-                        try:
-                            cex = verify_equivalent(
-                                spec,
-                                candidate,
-                                max_steps=max_steps,
-                                max_configs=self.verify_max_configs,
-                            )
-                        except VerificationBudgetExceeded as exc:
-                            exc.outcome = outcome
-                            raise
-                        finally:
-                            outcome.verification_seconds += (
-                                verify_span.elapsed()
-                            )
+                    with tracer.span("verify"):
+                        cex = verify_equivalent(
+                            spec,
+                            candidate,
+                            max_steps=max_steps,
+                            max_configs=self.verify_max_configs,
+                        )
                     if cex is None:
-                        outcome.program = candidate
+                        outcome = CegisOutcome(candidate, True)
                         if self.certify:
                             outcome.constraint_digest = (
                                 solver.proof.input_digest()
                             )
                             outcome.witnesses = list(self._witnesses)
                         return outcome
-                    outcome.counterexamples.append(cex)
                     tracer.count("cegis.counterexamples")
                     if self.on_counterexample is not None:
                         self.on_counterexample(cex.bits)
@@ -538,16 +457,15 @@ class CegisSession:
                 if expected.outcome == OUTCOME_OVERRUN:
                     raise RuntimeError(
                         "specification overran its step bound on a "
-                        "counterexample; increase max_unroll_steps"
+                        "counterexample"
                     )
                 self._encode_test(cex.bits, expected)
             raise SynthesisTimeout(
                 f"CEGIS did not converge within {self.max_iterations} "
-                "iterations", outcome
+                "iterations"
             )
         finally:
-            outcome.clauses_added = (
-                solver.sat_solver.num_clauses_added - clauses_at_entry
+            tracer.count(
+                "sat.clauses_added",
+                solver.sat_solver.num_clauses_added - clauses_at_entry,
             )
-            tracer.count("sat.clauses_added", outcome.clauses_added)
-

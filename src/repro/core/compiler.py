@@ -28,7 +28,7 @@ from ..hw.device import DeviceProfile
 from ..ir.analysis import check_extract_before_use, has_loops, max_parse_depth
 from ..ir.bits import Bits
 from ..ir.spec import ParserSpec
-from ..obs import get_tracer
+from ..obs import Tracer, get_tracer, use_tracer
 from ..persist import (
     CheckpointManager,
     cache_for_options,
@@ -98,9 +98,6 @@ class ParserHawkCompiler:
           naming the file that continues them.
         """
         options = self.options
-        stats = CompileStats()
-        tracer = get_tracer()
-
         cache = cache_for_options(options)
         key = ""
         if cache is not None or options.checkpoint_dir:
@@ -121,14 +118,12 @@ class ParserHawkCompiler:
                 resume=options.resume,
             )
 
-        def resumable(result: CompileResult) -> CompileResult:
-            """Flush a final checkpoint and name it on the result."""
-            if manager is not None:
-                manager.flush(force=True)
-                result.checkpoint_path = str(manager.path)
-            return result
-
-        with tracer.span(
+        # CompileStats is read off the compile span, so a compile always
+        # records: under the caller's tracer, else under a private one.
+        tracer = get_tracer()
+        if not tracer.enabled:
+            tracer = Tracer()
+        with use_tracer(tracer), tracer.span(
             "compile", spec=spec.name, device=device.name
         ) as compile_span:
             deadline = (
@@ -136,53 +131,10 @@ class ParserHawkCompiler:
                 if options.total_max_seconds
                 else None
             )
-            problems = check_extract_before_use(spec)
-            if problems:
-                return CompileResult(
-                    STATUS_INFEASIBLE,
-                    device,
-                    message="; ".join(problems),
-                    options_summary=options.enabled_summary(),
-                )
-            try:
-                result = self._compile_scaled(
-                    spec, device, options, stats, deadline, manager,
-                )
-            except CompileError as exc:
-                return CompileResult(
-                    STATUS_INFEASIBLE,
-                    device,
-                    message=str(exc),
-                    options_summary=options.enabled_summary(),
-                )
-            except SynthesisTimeout as exc:
-                stats.total_seconds = compile_span.elapsed()
-                return resumable(CompileResult(
-                    STATUS_TIMEOUT,
-                    device,
-                    stats=stats,
-                    message=str(exc),
-                    options_summary=options.enabled_summary(),
-                ))
-            except CompileFault as exc:
-                # An anticipated abnormal failure (solver resource
-                # exhaustion, injected fault): degrade to a typed result
-                # instead of unwinding the caller — the portfolio records
-                # it as a per-arm failure and keeps the other arms racing.
-                partial = getattr(exc, "outcome", None)
-                if partial is not None:
-                    self._merge_outcome(stats, partial)
-                stats.total_seconds = compile_span.elapsed()
-                tracer.count("compile.faults")
-                return resumable(CompileResult(
-                    STATUS_FAULT,
-                    device,
-                    stats=stats,
-                    message=exc.describe(),
-                    options_summary=options.enabled_summary(),
-                ))
-            stats.total_seconds = compile_span.elapsed()
-        result.stats = stats
+            result = self._compile_checked(
+                spec, device, options, deadline, manager
+            )
+        result.stats = CompileStats.from_span(compile_span)
         result.options_summary = options.enabled_summary()
         if result.ok:
             if manager is not None:
@@ -210,12 +162,50 @@ class ParserHawkCompiler:
         return result
 
     # ------------------------------------------------------------------
+    def _compile_checked(
+        self,
+        spec: ParserSpec,
+        device: DeviceProfile,
+        options: CompileOptions,
+        deadline: Optional[float],
+        manager: Optional[CheckpointManager],
+    ) -> CompileResult:
+        """The compile span's body: every anticipated failure becomes a
+        typed result."""
+        problems = check_extract_before_use(spec)
+        if problems:
+            return CompileResult(
+                STATUS_INFEASIBLE, device, message="; ".join(problems)
+            )
+        try:
+            return self._compile_scaled(
+                spec, device, options, deadline, manager
+            )
+        except CompileError as exc:
+            return CompileResult(STATUS_INFEASIBLE, device, message=str(exc))
+        except SynthesisTimeout as exc:
+            result = CompileResult(STATUS_TIMEOUT, device, message=str(exc))
+        except CompileFault as exc:
+            # An anticipated abnormal failure (solver resource
+            # exhaustion, injected fault): degrade to a typed result
+            # instead of unwinding the caller — the portfolio records
+            # it as a per-arm failure and keeps the other arms racing.
+            get_tracer().count("compile.faults")
+            result = CompileResult(
+                STATUS_FAULT, device, message=exc.describe()
+            )
+        if manager is not None:
+            # Resumable failure: flush a final checkpoint and name it on
+            # the result.
+            manager.flush(force=True)
+            result.checkpoint_path = str(manager.path)
+        return result
+
     def _compile_scaled(
         self,
         spec: ParserSpec,
         device: DeviceProfile,
         options: CompileOptions,
-        stats: CompileStats,
         deadline: Optional[float],
         manager: Optional[CheckpointManager] = None,
     ) -> CompileResult:
@@ -233,8 +223,8 @@ class ParserHawkCompiler:
                     fix_varbits=options.opt6_fixed_varbits,
                 )
                 result = self._search_budgets(
-                    spec, synth_spec, plan, device, options, stats,
-                    deadline, allow_loops, manager,
+                    spec, synth_spec, plan, device, options, deadline,
+                    allow_loops, manager,
                 )
             if result.ok:
                 return result
@@ -266,7 +256,6 @@ class ParserHawkCompiler:
         plan,
         device: DeviceProfile,
         options: CompileOptions,
-        stats: CompileStats,
         deadline: Optional[float],
         allow_loops: bool,
         manager: Optional[CheckpointManager] = None,
@@ -358,18 +347,16 @@ class ParserHawkCompiler:
                     # A later escalation round re-attempting a budget whose
                     # earlier time slice expired is a retry, not a new
                     # budget (the old code inflated budgets_tried here).
-                    stats.budget_retries += 1
                     tracer.count("budget.retries")
                 else:
                     attempted.add(budget_key)
-                    stats.budgets_tried += 1
                     tracer.count("budget.attempts")
                 with tracer.span(
                     "budget",
                     stages=stage_budget,
                     entries=num_entries,
                     slice=slice_seconds,
-                ):
+                ) as budget_span:
                     slice_cap = slice_seconds
                     if options.synthesis_max_seconds is not None:
                         slice_cap = min(
@@ -381,7 +368,6 @@ class ParserHawkCompiler:
                         # constraints, RNG position and iteration counter
                         # are all live — this slice picks up exactly where
                         # the previous one stopped.
-                        stats.warm_resumes += 1
                         tracer.count("budget.warm_resumes")
                     else:
                         skeleton = build_skeleton(
@@ -392,9 +378,8 @@ class ParserHawkCompiler:
                             stage_budget=stage_budget,
                             allow_loops=allow_loops,
                         )
-                        stats.search_space_bits = max(
-                            stats.search_space_bits,
-                            skeleton.search_space_bits(),
+                        budget_span.attrs["search_space_bits"] = (
+                            skeleton.search_space_bits()
                         )
                         rng = _budget_rng(
                             options.seed, allow_loops, stage_budget,
@@ -468,9 +453,7 @@ class ParserHawkCompiler:
                         outcome = session.run(
                             max_seconds=slice_cap, deadline=deadline
                         )
-                    except SynthesisTimeout as exc:
-                        if exc.outcome is not None:
-                            self._merge_outcome(stats, exc.outcome)
+                    except SynthesisTimeout:
                         saw_unknown = True
                         remaining.append(budget_key)
                         if pool is not None:
@@ -479,19 +462,14 @@ class ParserHawkCompiler:
                     except (
                         EncodingOverflow, VerificationBudgetExceeded
                     ) as exc:
-                        partial = getattr(exc, "outcome", None)
-                        if partial is not None:
-                            self._merge_outcome(stats, partial)
                         return CompileResult(
                             STATUS_INFEASIBLE, device, message=str(exc)
                         )
-                    self._merge_outcome(stats, outcome)
                     # Terminal outcome (program or UNSAT proof): the
                     # session's solver state has no further use.
                     warm_sessions.pop(budget_key, None)
                     if not outcome.feasible:
                         retired.add(budget_key)
-                        stats.budgets_retired += 1
                         tracer.count("budget.retired")
                         if manager is not None:
                             proof_ref = None
@@ -534,7 +512,7 @@ class ParserHawkCompiler:
                     # interacted with semantics): retry this budget
                     # without scaling.
                     final = self._retry_unscaled(
-                        original_spec, device, options, stats, deadline,
+                        original_spec, device, options, deadline,
                         allow_loops, num_entries, stage_budget, slice_cap,
                     )
                     if final is not None:
@@ -566,7 +544,6 @@ class ParserHawkCompiler:
         original_spec: ParserSpec,
         device: DeviceProfile,
         options: CompileOptions,
-        stats: CompileStats,
         deadline: Optional[float],
         allow_loops: bool,
         num_entries: int,
@@ -602,12 +579,8 @@ class ParserHawkCompiler:
             ).run(max_seconds=slice_cap, deadline=deadline)
         except (
             SynthesisTimeout, EncodingOverflow, VerificationBudgetExceeded
-        ) as exc:
-            partial = getattr(exc, "outcome", None)
-            if partial is not None:
-                self._merge_outcome(stats, partial)
+        ):
             return None
-        self._merge_outcome(stats, outcome)
         if outcome.feasible and outcome.program is not None:
             program = post_optimize(outcome.program, device)
             final = self._finalize(original_spec, program, device, options)
@@ -635,23 +608,6 @@ class ParserHawkCompiler:
             "witnesses": list(getattr(outcome, "witnesses", ())),
             "max_steps": max(32, 4 * max_parse_depth(original_spec)),
         }
-
-    @staticmethod
-    def _merge_outcome(stats: CompileStats, outcome) -> None:
-        """Fold one CEGIS attempt's measurements into the compile stats."""
-        stats.cegis_iterations += outcome.iterations
-        stats.cegis_replayed += getattr(outcome, "replayed", 0)
-        stats.pool_tests_reused += getattr(outcome, "pool_reused", 0)
-        stats.sat_clauses_added += getattr(outcome, "clauses_added", 0)
-        stats.synthesis_seconds += outcome.synthesis_seconds
-        stats.verification_seconds += outcome.verification_seconds
-        stats.counterexamples += len(outcome.counterexamples)
-        stats.sat_conflicts += outcome.sat_conflicts
-        stats.sat_decisions += outcome.sat_decisions
-        stats.sat_propagations += outcome.sat_propagations
-        stats.sat_restarts += outcome.sat_restarts
-        stats.sat_learnt_clauses += outcome.sat_learnt_clauses
-        stats.sat_gate_cache_hits += getattr(outcome, "gate_cache_hits", 0)
 
     @staticmethod
     def _restore_scaling(program, plan):

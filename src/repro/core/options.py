@@ -51,14 +51,12 @@ class CompileOptions:
 
     # CEGIS budgets.
     max_cegis_iterations: int = 40
-    max_unroll_steps: Optional[int] = None   # K in Figure 6; None = derive
     synthesis_max_conflicts: Optional[int] = None
     synthesis_max_seconds: Optional[float] = None
     total_max_seconds: Optional[float] = None
 
     # Resource search.
     max_extra_entries: int = 8         # beyond the lower bound, per attempt
-    max_aux_states_per_state: int = 4  # key-splitting auxiliaries
     # Iterative-deepening schedule over budgets (§6.7.2 portfolio,
     # sequential emulation): each budget gets a time slice per round.
     budget_time_slice: float = 10.0

@@ -7,6 +7,7 @@ from typing import List, Optional
 
 from ..hw.device import DeviceProfile
 from ..hw.impl import TcamProgram
+from ..obs import Span
 
 STATUS_OK = "ok"
 STATUS_INFEASIBLE = "infeasible"     # no implementation within device limits
@@ -18,10 +19,12 @@ STATUS_FAULT = "fault"               # abnormal failure (crash, pool break, …)
 class CompileStats:
     """Where the compile time went.
 
-    Timing fields derive from the tracing layer's spans
-    (:mod:`repro.obs`): ``total_seconds`` is the ``compile`` span,
-    ``synthesis_seconds``/``verification_seconds`` sum the ``sat.solve``
-    and ``verify`` spans.  ``budgets_tried`` counts *unique*
+    Read off the closed ``compile`` span (:meth:`from_span`):
+    ``total_seconds`` is that span, ``synthesis_seconds`` and
+    ``verification_seconds`` sum its ``sat.solve`` and ``verify`` spans,
+    ``search_space_bits`` is the largest skeleton a ``budget`` span
+    built, and every other field totals one counter
+    (:data:`STATS_COUNTERS`).  ``budgets_tried`` counts *unique*
     ``(stage, entries)`` budgets; re-attempts of the same budget under a
     larger time slice are ``budget_retries``.
     """
@@ -57,6 +60,52 @@ class CompileStats:
     budgets_retired: int = 0
     counterexamples: int = 0
     search_space_bits: int = 0
+
+    @classmethod
+    def from_span(cls, span: Span) -> "CompileStats":
+        """The stats of the compile whose ``compile`` span is ``span``."""
+        totals = span.counter_totals()
+        stats = cls(
+            total_seconds=span.elapsed(),
+            **{
+                name: totals.get(counter, 0)
+                for name, counter in STATS_COUNTERS.items()
+            },
+        )
+        pending = list(span.children)
+        while pending:
+            node = pending.pop()
+            pending.extend(node.children)
+            if node.name == "sat.solve":
+                stats.synthesis_seconds += node.elapsed()
+            elif node.name == "verify":
+                stats.verification_seconds += node.elapsed()
+            elif node.name == "budget":
+                stats.search_space_bits = max(
+                    stats.search_space_bits,
+                    node.attrs.get("search_space_bits", 0),
+                )
+        return stats
+
+
+# CompileStats field <- the counter it totals over the compile span.
+STATS_COUNTERS = {
+    "cegis_iterations": "cegis.iterations",
+    "cegis_replayed": "cegis.replayed",
+    "pool_tests_reused": "tests.pool_hits",
+    "sat_conflicts": "sat.conflicts",
+    "sat_decisions": "sat.decisions",
+    "sat_propagations": "sat.propagations",
+    "sat_restarts": "sat.restarts",
+    "sat_learnt_clauses": "sat.learnt_clauses",
+    "sat_clauses_added": "sat.clauses_added",
+    "sat_gate_cache_hits": "sat.gate_cache_hits",
+    "budgets_tried": "budget.attempts",
+    "budget_retries": "budget.retries",
+    "warm_resumes": "budget.warm_resumes",
+    "budgets_retired": "budget.retired",
+    "counterexamples": "cegis.counterexamples",
+}
 
 
 @dataclass

@@ -39,6 +39,7 @@ from ..ir.spec import (
 from .options import CompileOptions
 
 FREE_PATTERN = "FREE"   # sentinel: symbolic value/mask (Opt4 disabled)
+MAX_AUX_STATES = 4      # key-splitting auxiliaries per state
 
 
 @dataclass(frozen=True)
@@ -514,7 +515,7 @@ def build_skeleton(
         import math
 
         needed = min(
-            options.max_aux_states_per_state,
+            MAX_AUX_STATES,
             max(
                 math.ceil(natural_w / device.key_limit) - 1,
                 _distinct_high_groups(spec_state, device.key_limit),
@@ -564,7 +565,7 @@ def build_skeleton(
     if any(f.is_stack for f in spec.fields.values()):
         # Looping states revisit their aux chain once per stack instance.
         loop_extra = chain_total * (_max_stack_depth(spec) - 1)
-    unroll = options.max_unroll_steps or (base_depth + chain_total + loop_extra + 2)
+    unroll = base_depth + chain_total + loop_extra + 2
 
     start_name = spec.start
     return Skeleton(

@@ -56,22 +56,12 @@ class PoolEntry:
     steps: int = 0
 
 
-@dataclass
-class PoolStats:
-    added: int = 0
-    duplicates: int = 0
-    seeds: int = 0
-    counterexamples: int = 0
-    replayed: int = 0        # entries handed out as up-front constraints
-
-
 class TestPool:
     """Insertion-ordered, deduplicated set of tests for one spec layout."""
 
     def __init__(self, spec: ParserSpec) -> None:
         self.spec = spec
         self._entries: Dict[Tuple[int, int], PoolEntry] = {}
-        self.stats = PoolStats()
         # Invoked with each genuinely new entry — the checkpoint layer's
         # hook for making the pool durable in insertion order.
         self.on_add: Optional[Callable[[PoolEntry], None]] = None
@@ -90,15 +80,9 @@ class TestPool:
         """Record a test input; returns True if it was new."""
         key = (bits.uint(), len(bits))
         if key in self._entries:
-            self.stats.duplicates += 1
             return False
         entry = PoolEntry(bits, origin)
         self._entries[key] = entry
-        self.stats.added += 1
-        if origin == ORIGIN_SEED:
-            self.stats.seeds += 1
-        else:
-            self.stats.counterexamples += 1
         if self.on_add is not None:
             self.on_add(entry)
         return True
@@ -144,7 +128,6 @@ class TestPool:
             if expected is None:
                 continue
             out.append((entry.bits, expected, entry.origin))
-        self.stats.replayed += len(out)
         return out
 
     def has_seeds(self, size: Optional[int] = None) -> bool:

@@ -85,10 +85,44 @@ def equivalent_behavior(a: ParseResult, b: ParseResult) -> bool:
     return a.od == b.od and a.od_widths == b.od_widths
 
 
+@dataclass
+class TraceStep:
+    """One state execution in a traced run (used by the directed test
+    generator to aim mutations at transition-key bit positions)."""
+
+    state: str
+    cursor_at_entry: int
+    key_positions: List[int]           # absolute input bit per key bit, MSB first
+    key_width: int
+    rule_index: Optional[int]          # which rule fired (None = no match)
+    key_value: int = 0                 # concatenated key value observed
+
+
 def simulate_spec(spec: ParserSpec, bits: Bits, max_steps: int = 64) -> ParseResult:
     """Run the specification FSM on an input bitstream."""
+    return _walk(spec, bits, max_steps, None)
+
+
+def trace_spec(
+    spec: ParserSpec, bits: Bits, max_steps: int = 64
+) -> Tuple[ParseResult, List[TraceStep]]:
+    """Like :func:`simulate_spec` but also records, per executed state, the
+    absolute input positions feeding its transition key."""
+    steps: List[TraceStep] = []
+    return _walk(spec, bits, max_steps, steps), steps
+
+
+def _walk(
+    spec: ParserSpec,
+    bits: Bits,
+    max_steps: int,
+    steps: Optional[List[TraceStep]],
+) -> ParseResult:
+    """The spec FSM walk; appends one :class:`TraceStep` per executed
+    state to ``steps`` unless it is None (then no positions are kept)."""
     od: Dict[str, int] = {}
     od_widths: Dict[str, int] = {}
+    od_start: Dict[str, int] = {}      # input position of each extraction
     path: List[str] = []
     stack_counts: Dict[str, int] = {}
     cursor = 0
@@ -96,6 +130,7 @@ def simulate_spec(spec: ParserSpec, bits: Bits, max_steps: int = 64) -> ParseRes
     for _ in range(max_steps):
         state = spec.states[current]
         path.append(current)
+        entry_cursor = cursor
         # 1. Extraction.
         for fname in state.extracts:
             fdef = spec.fields[fname]
@@ -129,11 +164,16 @@ def simulate_spec(spec: ParserSpec, bits: Bits, max_steps: int = 64) -> ParseRes
                 od_key = fname
             od[od_key] = bits.slice(cursor, width).uint() if width else 0
             od_widths[od_key] = width
+            if steps is not None:
+                od_start[od_key] = cursor
             cursor += width
         # 2. Transition.
         if state.is_unconditional:
+            if steps is not None:
+                steps.append(TraceStep(current, entry_cursor, [], 0, 0, 0))
             dest = state.rules[0].next_state
         else:
+            positions: List[int] = []
             key_values: List[int] = []
             key_widths: List[int] = []
             for part in state.key:
@@ -154,6 +194,11 @@ def simulate_spec(spec: ParserSpec, bits: Bits, max_steps: int = 64) -> ParseRes
                             f"state {state.name} keys on unextracted field "
                             f"{part.field}"
                         )
+                    if steps is not None:
+                        last = od_start[od_key] + od_widths[od_key] - 1
+                        positions.extend(
+                            last - b for b in range(part.hi, part.lo - 1, -1)
+                        )
                     value = (od[od_key] >> part.lo) & (
                         (1 << part.width) - 1
                     )
@@ -166,13 +211,25 @@ def simulate_spec(spec: ParserSpec, bits: Bits, max_steps: int = 64) -> ParseRes
                         return ParseResult(
                             OUTCOME_REJECT, od, od_widths, cursor, path
                         )
+                    if steps is not None:
+                        positions.extend(range(start, start + part.width))
                     key_values.append(bits.slice(start, part.width).uint())
                     key_widths.append(part.width)
-            dest = None
-            for rule in state.rules:
+            fired = dest = None
+            for i, rule in enumerate(state.rules):
                 if rule.matches(key_values, key_widths):
-                    dest = rule.next_state
+                    fired, dest = i, rule.next_state
                     break
+            if steps is not None:
+                combined = 0
+                for v, w in zip(key_values, key_widths):
+                    combined = (combined << w) | v
+                steps.append(
+                    TraceStep(
+                        current, entry_cursor, positions, sum(key_widths),
+                        fired, combined,
+                    )
+                )
             if dest is None:
                 return ParseResult(OUTCOME_REJECT, od, od_widths, cursor, path)
         if dest == ACCEPT:
@@ -181,131 +238,6 @@ def simulate_spec(spec: ParserSpec, bits: Bits, max_steps: int = 64) -> ParseRes
             return ParseResult(OUTCOME_REJECT, od, od_widths, cursor, path)
         current = dest
     return ParseResult(OUTCOME_OVERRUN, od, od_widths, cursor, path)
-
-
-@dataclass
-class TraceStep:
-    """One state execution in a traced run (used by the directed test
-    generator to aim mutations at transition-key bit positions)."""
-
-    state: str
-    cursor_at_entry: int
-    key_positions: List[int]           # absolute input bit per key bit, MSB first
-    key_width: int
-    rule_index: Optional[int]          # which rule fired (None = no match)
-    key_value: int = 0                 # concatenated key value observed
-
-
-def trace_spec(
-    spec: ParserSpec, bits: Bits, max_steps: int = 64
-) -> Tuple[ParseResult, List[TraceStep]]:
-    """Like :func:`simulate_spec` but also records, per executed state, the
-    absolute input positions feeding its transition key."""
-    od: Dict[str, int] = {}
-    od_pos: Dict[str, Tuple[int, int]] = {}
-    od_widths: Dict[str, int] = {}
-    path: List[str] = []
-    steps: List[TraceStep] = []
-    stack_counts: Dict[str, int] = {}
-    cursor = 0
-    current = spec.start
-
-    def finish(outcome: str) -> Tuple[ParseResult, List[TraceStep]]:
-        return ParseResult(outcome, od, od_widths, cursor, path), steps
-
-    for _ in range(max_steps):
-        state = spec.states[current]
-        path.append(current)
-        entry_cursor = cursor
-        for fname in state.extracts:
-            fdef = spec.fields[fname]
-            if fdef.is_varbit:
-                if fdef.length_field is None or fdef.length_field not in od:
-                    raise SimulationError(f"varbit {fname} length unavailable")
-                width = od[fdef.length_field] * fdef.length_multiplier
-                if width > fdef.width:
-                    return finish(OUTCOME_REJECT)
-            else:
-                width = fdef.width
-            if cursor + width > len(bits):
-                return finish(OUTCOME_REJECT)
-            if fdef.is_stack:
-                index = stack_counts.get(fname, 0)
-                if index >= fdef.stack_depth:
-                    return finish(OUTCOME_REJECT)
-                stack_counts[fname] = index + 1
-                od_key = fdef.instance_key(index)
-            else:
-                od_key = fname
-            od[od_key] = bits.slice(cursor, width).uint() if width else 0
-            od_widths[od_key] = width
-            od_pos[od_key] = (cursor, width)
-            cursor += width
-        if state.is_unconditional:
-            steps.append(TraceStep(current, entry_cursor, [], 0, 0, 0))
-            dest = state.rules[0].next_state
-        else:
-            positions: List[int] = []
-            key_values: List[int] = []
-            key_widths: List[int] = []
-            short = False
-            for part in state.key:
-                if isinstance(part, FieldKey):
-                    fdef = spec.fields[part.field]
-                    if fdef.is_stack:
-                        count = stack_counts.get(part.field, 0)
-                        if count == 0:
-                            raise SimulationError(
-                                f"key on empty stack {part.field}"
-                            )
-                        od_key = fdef.instance_key(count - 1)
-                    else:
-                        od_key = part.field
-                    if od_key not in od:
-                        raise SimulationError(
-                            f"key on unextracted field {part.field}"
-                        )
-                    pos, width = od_pos[od_key]
-                    for b in range(part.hi, part.lo - 1, -1):
-                        positions.append(pos + (width - 1 - b))
-                    key_values.append(
-                        (od[od_key] >> part.lo) & ((1 << part.width) - 1)
-                    )
-                    key_widths.append(part.width)
-                else:
-                    start = cursor + part.offset
-                    if start + part.width > len(bits):
-                        short = True
-                        break
-                    positions.extend(range(start, start + part.width))
-                    key_values.append(bits.slice(start, part.width).uint())
-                    key_widths.append(part.width)
-            if short:
-                return finish(OUTCOME_REJECT)
-            fired = None
-            dest = None
-            for i, rule in enumerate(state.rules):
-                if rule.matches(key_values, key_widths):
-                    fired = i
-                    dest = rule.next_state
-                    break
-            combined = 0
-            for v, w in zip(key_values, key_widths):
-                combined = (combined << w) | v
-            steps.append(
-                TraceStep(
-                    current, entry_cursor, positions, sum(key_widths),
-                    fired, combined,
-                )
-            )
-            if dest is None:
-                return finish(OUTCOME_REJECT)
-        if dest == ACCEPT:
-            return finish(OUTCOME_ACCEPT)
-        if dest == REJECT:
-            return finish(OUTCOME_REJECT)
-        current = dest
-    return finish(OUTCOME_OVERRUN)
 
 
 def spec_input_bound(spec: ParserSpec, max_steps: int = 64) -> int:

@@ -7,10 +7,11 @@ attributes, and named counters (conflicts, decisions, propagations,
 counterexamples, budgets retired, ...).
 
 The ambient tracer is resolved with :func:`get_tracer`; the default is a
-:class:`NullTracer` whose spans still measure wall time (so
-``CompileStats`` timing derives from spans uniformly) but record nothing
-else, keeping the disabled-path overhead to two clock reads and one small
-allocation per span.
+:class:`NullTracer` whose spans still measure wall time but record
+nothing else, keeping the disabled-path overhead to two clock reads and
+one small allocation per span.  A compile always records, under a
+private ``Tracer`` when none is installed, because ``CompileStats`` is
+read off its ``compile`` span.
 
 Worker processes cannot share a tracer with their parent.  Instead a
 worker runs under its own ``Tracer``, serializes the finished span tree

@@ -22,9 +22,7 @@ class CompileFault(Exception):
     """Base class for abnormal (but anticipated) compile-pipeline failures.
 
     ``site`` names the pipeline location that raised (an injection-site
-    string such as ``"sat.solve"``); ``outcome`` optionally carries a
-    partial ``CegisOutcome`` so callers can fold the aborted attempt's
-    solver statistics into their stats (mirroring ``SynthesisTimeout``).
+    string such as ``"sat.solve"``).
     """
 
     def __init__(
@@ -32,7 +30,6 @@ class CompileFault(Exception):
     ) -> None:
         super().__init__(message or type(self).__name__)
         self.site = site
-        self.outcome = None  # optional partial CegisOutcome
 
     def describe(self) -> str:
         where = f" at {self.site}" if self.site else ""

@@ -1,7 +1,7 @@
 """From-scratch CDCL SAT solver used as ParserHawk's search substrate."""
 
 from .arena import CREF_NONE, ClauseArena
-from .clause import Clause, lit, lit_from_dimacs, neg, sign_of, to_dimacs, var_of
+from .clause import lit, lit_from_dimacs, neg, sign_of, to_dimacs, var_of
 from .dimacs import (
     dump_solver,
     load_dimacs,
@@ -17,7 +17,6 @@ from .solver import Budget, SatSolver, luby
 __all__ = [
     "Budget",
     "CREF_NONE",
-    "Clause",
     "ClauseArena",
     "ProofCheckResult",
     "ProofLog",

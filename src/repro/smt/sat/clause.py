@@ -1,4 +1,4 @@
-"""Clause and literal primitives for the CDCL SAT solver.
+"""Literal primitives for the CDCL SAT solver.
 
 Literals use the common "packed" integer encoding: variable ``v`` (0-based)
 yields positive literal ``2*v`` and negative literal ``2*v + 1``.  This keeps
@@ -7,8 +7,6 @@ data layout available to a pure-Python solver.
 """
 
 from __future__ import annotations
-
-from typing import Iterable, List
 
 
 def lit(var: int, positive: bool = True) -> int:
@@ -44,44 +42,3 @@ def sign_of(packed: int) -> bool:
     """True when the packed literal is positive."""
     return (packed & 1) == 0
 
-
-class Clause:
-    """A materialized view of a clause: packed literals + metadata.
-
-    The solver's hot path no longer stores these — clauses live packed in
-    a flat :class:`~repro.smt.sat.arena.ClauseArena` and are referred to
-    by integer cref.  ``Clause`` remains the convenient boxed form for
-    export, debugging, and tests; :meth:`from_arena` materializes one
-    from a cref.
-    """
-
-    __slots__ = ("lits", "learnt", "activity")
-
-    def __init__(self, lits: Iterable[int], learnt: bool = False) -> None:
-        self.lits: List[int] = list(lits)
-        self.learnt = learnt
-        self.activity = 0.0
-
-    @classmethod
-    def from_arena(cls, arena, cref: int) -> "Clause":
-        """Box the clause stored at ``cref`` (activity included)."""
-        clause = cls(arena.literals(cref), learnt=arena.is_learnt(cref))
-        clause.activity = arena.activity(cref)
-        return clause
-
-    def __len__(self) -> int:
-        return len(self.lits)
-
-    def __getitem__(self, i: int) -> int:
-        return self.lits[i]
-
-    def __setitem__(self, i: int, value: int) -> None:
-        self.lits[i] = value
-
-    def __iter__(self):
-        return iter(self.lits)
-
-    def __repr__(self) -> str:
-        body = " ".join(str(to_dimacs(l)) for l in self.lits)
-        kind = "learnt" if self.learnt else "input"
-        return f"Clause<{kind}>({body})"

@@ -95,7 +95,6 @@ class Solver:
         self._model: Optional[Model] = None
         self._last_result = UNKNOWN
         self._gate_hits_seen = 0  # for per-check gate-cache deltas
-        self._last_gate_hits_delta = 0
         self._simplify_seen = 0.0  # for per-check simplify-time deltas
         self._proof_logged_seen = 0  # for per-check proof-step deltas
 
@@ -150,9 +149,9 @@ class Solver:
             ) from exc
         # Gate-cache hits accrue during add()/bit-blasting between checks;
         # attribute each stretch to the check that consumes it so the
-        # per-call deltas in last_check_stats stay additive.
+        # per-check counts stay additive.
         hits = self._blaster.gate_cache_hits
-        self._last_gate_hits_delta = hits - self._gate_hits_seen
+        gate_hits = hits - self._gate_hits_seen
         self._gate_hits_seen = hits
         tracer = get_tracer()
         if tracer.enabled:
@@ -175,7 +174,7 @@ class Solver:
             simp = self._sat.simplify_seconds
             tracer.count("sat.simplify_seconds", simp - self._simplify_seen)
             self._simplify_seen = simp
-            tracer.count("sat.gate_cache_hits", self._last_gate_hits_delta)
+            tracer.count("sat.gate_cache_hits", gate_hits)
             if self._sat.proof is not None:
                 logged = self._sat.proof.clauses_logged
                 tracer.count(
@@ -199,12 +198,6 @@ class Solver:
 
     def stats(self) -> Dict[str, int]:
         return self._sat.stats()
-
-    def last_check_stats(self) -> Dict[str, int]:
-        """Per-call solver deltas for the most recent :meth:`check`."""
-        stats = dict(self._sat.last_solve_stats)
-        stats["gate_cache_hits"] = self._last_gate_hits_delta
-        return stats
 
     @property
     def proof(self):

@@ -12,6 +12,7 @@ from repro.core.skeleton import entry_lower_bound
 from repro.core.testpool import TestPool as SharedPool
 from repro.hw import tofino_profile
 from repro.ir import Bits, parse_spec, simulate_spec
+from repro.obs import Tracer, use_tracer
 
 
 def _entry_rows(program):
@@ -23,6 +24,18 @@ def _entry_rows(program):
 TOFINO = tofino_profile(
     key_limit=8, tcam_limit=64, lookahead_limit=8, extract_limit=64
 )
+
+
+def _traced_run(session, **kwargs):
+    """One ``session.run`` under its own Tracer: ``(outcome, counters)``,
+    or ``(exception, counters)`` when the attempt raised."""
+    tracer = Tracer()
+    with use_tracer(tracer):
+        try:
+            outcome = session.run(**kwargs)
+        except SynthesisTimeout as exc:
+            outcome = exc
+    return outcome, tracer.registry
 
 
 @pytest.fixture
@@ -106,9 +119,11 @@ class TestSynthesizeForBudget:
         skeleton = build_skeleton(
             synth, TOFINO, CompileOptions(), num_entries=3, allow_loops=False
         )
-        outcome = CegisSession(skeleton, random.Random(0)).run()
+        outcome, counters = _traced_run(
+            CegisSession(skeleton, random.Random(0))
+        )
         assert outcome.feasible and outcome.program is not None
-        assert outcome.iterations >= 1
+        assert counters.get("cegis.iterations") >= 1
 
     def test_unsat_below_lower_bound(self, dispatch):
         synth, _plan = prepare_spec(
@@ -147,37 +162,45 @@ class TestCegisSessionWarm:
         session = CegisSession(skeleton, random.Random(0))
         # Attempt 1 expires at its first solve; the interrupted iteration
         # is charged to the attempt that started it.
-        with pytest.raises(SynthesisTimeout) as exc:
-            session.run(max_seconds=0.0)
-        assert exc.value.outcome is not None
-        assert exc.value.outcome.iterations == 1
-        assert exc.value.outcome.sat_conflicts == 0   # no solve happened
+        expired, first = _traced_run(session, max_seconds=0.0)
+        assert isinstance(expired, SynthesisTimeout)
+        assert first.get("cegis.iterations") == 1
+        assert first.get("sat.solves") == 0   # no solve happened
         # Attempt 2 continues the same session to convergence.
-        outcome = session.run(max_seconds=60.0)
+        outcome, second = _traced_run(session, max_seconds=60.0)
         assert outcome.feasible and outcome.program is not None
-        cold = CegisSession(self._skeleton(dispatch), random.Random(0)).run()
+        cold, cold_counters = _traced_run(
+            CegisSession(self._skeleton(dispatch), random.Random(0))
+        )
         assert _entry_rows(outcome.program) == _entry_rows(cold.program)
-        assert outcome.iterations == cold.iterations
+        assert second.get("cegis.iterations") == (
+            cold_counters.get("cegis.iterations")
+        )
 
     def test_attempt_outcomes_are_deltas(self, dispatch):
-        """Each run() reports only its own attempt's measurements, so the
-        budget search can sum attempts without double counting."""
+        """Each run() records only its own attempt's work, so the
+        attempts of a session add up without double counting."""
         skeleton = self._skeleton(dispatch)
         session = CegisSession(skeleton, random.Random(0))
-        with pytest.raises(SynthesisTimeout) as exc:
-            session.run(max_seconds=0.0)
-        first = exc.value.outcome
-        second = session.run(max_seconds=60.0)
-        cold = CegisSession(self._skeleton(dispatch), random.Random(0)).run()
+        _expired, first = _traced_run(session, max_seconds=0.0)
+        _outcome, second = _traced_run(session, max_seconds=60.0)
+        _cold, cold = _traced_run(
+            CegisSession(self._skeleton(dispatch), random.Random(0))
+        )
         # The interrupted iteration restarts, so the attempts sum to one
         # extra count — but never to duplicated solver work.
-        assert first.iterations + second.iterations == cold.iterations + 1
+        assert first.get("cegis.iterations") + second.get(
+            "cegis.iterations"
+        ) == cold.get("cegis.iterations") + 1
+        assert first.get("sat.solves") + second.get("sat.solves") == (
+            cold.get("sat.solves")
+        )
         # The structural + seed encoding happened once, in attempt 1;
         # together the attempts emit exactly the cold run's clauses.
-        assert first.clauses_added > 0
-        assert first.clauses_added + second.clauses_added == (
-            cold.clauses_added
-        )
+        assert first.get("sat.clauses_added") > 0
+        assert first.get("sat.clauses_added") + second.get(
+            "sat.clauses_added"
+        ) == cold.get("sat.clauses_added")
 
     def test_iteration_cap_spans_the_whole_session(self, dispatch):
         session = CegisSession(
@@ -204,23 +227,25 @@ class TestPoolReplayInCegis:
     def test_pool_seeds_replace_live_iterations(self, dispatch):
         synth, skeleton = self._skeleton(dispatch)
         pool = SharedPool(synth)
-        first = CegisSession(
+        first, first_counters = _traced_run(CegisSession(
             skeleton,
             random.Random(0),
             directed_tests=False,
             on_counterexample=lambda bits: pool.add(bits),
             pool=pool,
-        ).run()
+        ))
         assert first.feasible and first.program is not None
         assert len(pool) >= 1           # seed + any counterexamples
         # A second run over the same layout replays the pool up front.
         _synth2, skeleton2 = self._skeleton(dispatch)
-        second = CegisSession(
+        second, second_counters = _traced_run(CegisSession(
             skeleton2, random.Random(0), directed_tests=False, pool=pool
-        ).run()
+        ))
         assert second.feasible and second.program is not None
-        assert second.pool_reused == len(pool)
-        assert second.iterations <= first.iterations
+        assert second_counters.get("tests.pool_hits") == len(pool)
+        assert second_counters.get("cegis.iterations") <= (
+            first_counters.get("cegis.iterations")
+        )
         # Extra up-front constraints must not cost correctness.
         from repro.core import verify_equivalent
 
@@ -236,6 +261,6 @@ class TestPoolReplayInCegis:
             skeleton, random.Random(0), directed_tests=False,
             pool=pool, pool_base=base,
         )
-        outcome = session.run(max_seconds=60.0)
+        outcome, counters = _traced_run(session, max_seconds=60.0)
         assert outcome.feasible
-        assert outcome.pool_reused == base
+        assert counters.get("tests.pool_hits") == base

@@ -260,6 +260,25 @@ class TestInfeasibility:
         assert result.status == STATUS_INFEASIBLE
         assert "h.b" in result.message
 
+    def test_front_end_rejection_reports_its_time(self):
+        # A pipelined target cannot unroll a multi-state cycle; the
+        # front end rejects it, and the stats still count that work.
+        spec = parse_spec(
+            """
+            header h { a : 2; b : 2; }
+            parser P {
+                state start { extract(h.a);
+                    transition select(h.a) { 1 : s1; default : accept; } }
+                state s1 { extract(h.b);
+                    transition select(h.b) { 1 : start; default : accept; } }
+            }
+            """
+        )
+        result = compile_spec(spec, IPU)
+        assert result.status == STATUS_INFEASIBLE
+        assert "multi-state cycle" in result.message
+        assert result.stats.total_seconds > 0
+
 
 class TestStatsAndOptions:
     def test_stats_populated(self, dispatch_spec):
