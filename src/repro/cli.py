@@ -526,12 +526,13 @@ def _emit_and_check_proof(
 
 
 def cmd_sat(args: argparse.Namespace) -> int:
-    """Standalone SAT solving on DIMACS CNF, for profiling and triage.
+    """Standalone SAT solving on DIMACS CNF, for profiling and triage of
+    the CDCL search the compiler runs.
 
     Prints the conventional competition ``s`` line; exit status follows
     the SAT-competition convention (10 SAT, 20 UNSAT, 0 unknown).
     """
-    from .smt.sat import Budget, SatSolver, dump_solver, parse_dimacs
+    from .smt.sat import Budget, SatSolver, parse_dimacs
 
     want_proof = args.proof is not None or args.check_proof
     try:
@@ -551,13 +552,6 @@ def cmd_sat(args: argparse.Namespace) -> int:
     for clause in clauses:
         if not solver.add_clause(clause):
             break
-    simplify_stats = None
-    if args.simplify and solver.ok:
-        # Standalone solving is the one place nothing is incremental, so
-        # no variable needs freezing.
-        simplify_stats = solver.presimplify()
-    if args.dump and solver.ok:
-        Path(args.dump).write_text(dump_solver(solver))
     budget = None
     if args.max_conflicts is not None or args.max_seconds is not None:
         budget = Budget(
@@ -569,7 +563,7 @@ def cmd_sat(args: argparse.Namespace) -> int:
         code = 0
     elif result:
         # Verify the model against the original clauses before claiming
-        # SAT — the simplifier's reconstruction must cover every input.
+        # SAT: a wrong model must never reach the v-line.
         model = solver.model()
         for clause in clauses:
             if not any(model[l >> 1] ^ bool(l & 1) for l in clause):
@@ -595,9 +589,6 @@ def cmd_sat(args: argparse.Namespace) -> int:
     if args.stats:
         for key, value in solver.stats().items():
             print(f"c {key} = {value}")
-        if simplify_stats is not None:
-            for key, value in simplify_stats.as_dict().items():
-                print(f"c simplify.{key} = {value}")
     return code
 
 
@@ -741,16 +732,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sat_solve.add_argument("cnf", help="path to a DIMACS .cnf file")
     p_sat_solve.add_argument(
-        "--simplify",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="run SatELite-style preprocessing (subsumption, "
-        "self-subsuming resolution, bounded variable elimination) "
-        "before search",
-    )
-    p_sat_solve.add_argument(
         "--stats", action="store_true",
-        help="print solver and simplifier counters as 'c' comment lines",
+        help="print solver counters as 'c' comment lines",
     )
     p_sat_solve.add_argument(
         "--max-conflicts", type=int, default=None, metavar="N",
@@ -759,11 +742,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sat_solve.add_argument(
         "--max-seconds", type=float, default=None, metavar="SECONDS",
         help="budget: give up (s UNKNOWN) after this much wall clock",
-    )
-    p_sat_solve.add_argument(
-        "--dump", metavar="PATH", default=None,
-        help="write the (possibly preprocessed) formula the search "
-        "actually ran on back out as DIMACS",
     )
     p_sat_solve.add_argument(
         "--proof", metavar="PATH", default=None,

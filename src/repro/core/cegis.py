@@ -32,23 +32,19 @@ from .skeleton import Skeleton
 from .testpool import ORIGIN_SEED, TestPool
 from .verifier import verify_equivalent
 
-# Pool tests are replayed in chunks with a budgeted solve between chunks.
-# One solve per test (what live CEGIS does) wastes the per-solve fixed
-# cost — every check retracts to level 0 and re-propagates the whole
-# trail; one solve after ALL tests hands the CDCL search a cold, maximally
-# constrained instance with no learnt clauses or saved phases to steer it
-# (measurably slower than discovering the same tests incrementally).
-# Chunking keeps the solver warm while paying the fixed cost once per
-# chunk instead of once per test.
-POOL_REPLAY_CHUNK = 1
-
-# Conflict cap for the warm-up solves interleaved with pool replay.  A
-# warm-up solve's job is to keep the CDCL state (saved phases, learnt
-# clauses, activity) co-evolving with the constraints the way live CEGIS
-# iterations would — not to fully decide the instance.  Most repairs
-# converge in far fewer conflicts; when one doesn't, capping it and
-# moving on is cheaper than letting a single hard intermediate instance
-# burn the whole time slice.
+# Pool replay runs one warm-up solve before every pool test after the
+# first, so the solver absorbs the pool one test at a time, as live CEGIS
+# discovers it.  One solve after ALL tests would hand the CDCL search a
+# cold, maximally constrained instance with no learnt clauses or saved
+# phases to steer it (measurably slower than discovering the same tests
+# incrementally).
+#
+# Conflict cap for those warm-up solves.  A warm-up solve's job is to
+# keep the CDCL state (saved phases, learnt clauses, activity)
+# co-evolving with the constraints the way live CEGIS iterations would —
+# not to fully decide the instance.  Most repairs converge in far fewer
+# conflicts; when one doesn't, capping it and moving on is cheaper than
+# letting a single hard intermediate instance burn the whole time slice.
 POOL_WARMUP_MAX_CONFLICTS = 400
 
 
@@ -236,8 +232,6 @@ class CegisSession:
         skeleton: Skeleton,
         rng: random.Random,
         max_iterations: int = 40,
-        max_conflicts_per_solve: Optional[int] = None,
-        verify_max_configs: int = 60000,
         directed_tests: bool = True,
         replay: Optional[Sequence[Bits]] = None,
         on_counterexample: Optional[Callable[[Bits], None]] = None,
@@ -250,8 +244,6 @@ class CegisSession:
         self.max_steps = max(skeleton.unroll_steps, 16)
         self.rng = rng
         self.max_iterations = max_iterations
-        self.max_conflicts_per_solve = max_conflicts_per_solve
-        self.verify_max_configs = verify_max_configs
         self.directed_tests = directed_tests
         self.on_counterexample = on_counterexample
         self.pool = pool
@@ -326,20 +318,14 @@ class CegisSession:
                 return None
             return min(limits)
 
-        def solve_once(warmup_conflicts: Optional[int] = None) -> str:
+        def solve_once(max_conflicts: Optional[int] = None) -> str:
             """One budgeted ``solver.check`` under a ``sat.solve`` span
             (shared by replayed and live iterations, so both stay
-            comparable in the trace).  ``warmup_conflicts`` further caps
-            the conflict budget for pool-replay warm-up solves."""
+            comparable in the trace).  Only pool-replay warm-up solves
+            cap ``max_conflicts``."""
             budget_s = remaining()
             if budget_s is not None and budget_s <= 0:
                 raise SynthesisTimeout("CEGIS time budget exhausted")
-            max_conflicts = self.max_conflicts_per_solve
-            if warmup_conflicts is not None:
-                max_conflicts = (
-                    warmup_conflicts if max_conflicts is None
-                    else min(max_conflicts, warmup_conflicts)
-                )
             with tracer.span("sat.solve"):
                 return solver.check(
                     max_seconds=budget_s, max_conflicts=max_conflicts
@@ -365,10 +351,12 @@ class CegisSession:
                 if bits in self._encoded_inputs:
                     self._pool_pos += 1
                     continue
-                if self._since_solve >= POOL_REPLAY_CHUNK:
-                    # Warm-up solve between chunks: learnt clauses and
-                    # saved phases from it make the next chunk's
-                    # constraints cheap to absorb.  UNSAT here soundly
+                if self._since_solve:
+                    # Warm-up solve before this test: learnt clauses and
+                    # saved phases from it make the test's constraints
+                    # cheap to absorb.  A slice that expires inside it
+                    # leaves _since_solve set, so the resumed attempt
+                    # repeats the solve.  UNSAT here soundly
                     # retires the budget — pool tests are valid for the
                     # spec, so no correct program at this budget exists.
                     # A conflict-capped UNKNOWN just stops warming: the
@@ -376,7 +364,7 @@ class CegisSession:
                     # uncapped solves settle the instance.
                     with tracer.span("cegis.pool_warmup"):
                         status = solve_once(
-                            warmup_conflicts=POOL_WARMUP_MAX_CONFLICTS
+                            max_conflicts=POOL_WARMUP_MAX_CONFLICTS
                         )
                     if status == UNSAT:
                         return self._refuted()
@@ -437,10 +425,7 @@ class CegisSession:
                     candidate = sp.decode(solver.model())
                     with tracer.span("verify"):
                         cex = verify_equivalent(
-                            spec,
-                            candidate,
-                            max_steps=max_steps,
-                            max_configs=self.verify_max_configs,
+                            spec, candidate, max_steps=max_steps
                         )
                     if cex is None:
                         outcome = CegisOutcome(candidate, True)

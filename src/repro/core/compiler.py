@@ -58,6 +58,11 @@ from .testpool import ORIGIN_CEX, TestPool
 from .verifier import VerificationBudgetExceeded, verify_equivalent
 
 
+# Factor by which every undecided budget's time slice grows between
+# rounds of the iterative-deepening schedule (§6.7.2).
+TIME_SLICE_GROWTH = 4.0
+
+
 def _budget_rng(
     seed: int,
     allow_loops: bool,
@@ -357,11 +362,6 @@ class ParserHawkCompiler:
                     entries=num_entries,
                     slice=slice_seconds,
                 ) as budget_span:
-                    slice_cap = slice_seconds
-                    if options.synthesis_max_seconds is not None:
-                        slice_cap = min(
-                            slice_cap, options.synthesis_max_seconds
-                        )
                     session = warm_sessions.get(budget_key)
                     if session is not None:
                         # Warm continuation: the expired attempt's solver,
@@ -438,10 +438,6 @@ class ParserHawkCompiler:
                         session = CegisSession(
                             skeleton,
                             rng,
-                            max_iterations=options.max_cegis_iterations,
-                            max_conflicts_per_solve=(
-                                options.synthesis_max_conflicts
-                            ),
                             directed_tests=options.directed_seed_tests,
                             replay=replay,
                             on_counterexample=on_cex,
@@ -451,7 +447,7 @@ class ParserHawkCompiler:
                         )
                     try:
                         outcome = session.run(
-                            max_seconds=slice_cap, deadline=deadline
+                            max_seconds=slice_seconds, deadline=deadline
                         )
                     except SynthesisTimeout:
                         saw_unknown = True
@@ -513,13 +509,14 @@ class ParserHawkCompiler:
                     # without scaling.
                     final = self._retry_unscaled(
                         original_spec, device, options, deadline,
-                        allow_loops, num_entries, stage_budget, slice_cap,
+                        allow_loops, num_entries, stage_budget,
+                        slice_seconds,
                     )
                     if final is not None:
                         return final
                     remaining.append(budget_key)
             budgets = remaining
-            slice_seconds *= options.time_slice_growth
+            slice_seconds *= TIME_SLICE_GROWTH
             if manager is not None:
                 manager.record_slice(arm_key, slice_seconds)
                 manager.flush(force=True)
@@ -548,7 +545,7 @@ class ParserHawkCompiler:
         allow_loops: bool,
         num_entries: int,
         stage_budget: Optional[int],
-        slice_cap: float,
+        slice_seconds: float,
     ) -> Optional[CompileResult]:
         rng = _budget_rng(
             options.seed, allow_loops, stage_budget, num_entries,
@@ -572,11 +569,9 @@ class ParserHawkCompiler:
             outcome = CegisSession(
                 skeleton,
                 rng,
-                max_iterations=options.max_cegis_iterations,
-                max_conflicts_per_solve=options.synthesis_max_conflicts,
                 directed_tests=options.directed_seed_tests,
                 certify=options.certify,
-            ).run(max_seconds=slice_cap, deadline=deadline)
+            ).run(max_seconds=slice_seconds, deadline=deadline)
         except (
             SynthesisTimeout, EncodingOverflow, VerificationBudgetExceeded
         ):

@@ -49,18 +49,15 @@ class CompileOptions:
     # resources and CEGIS iterations against.
     test_reuse: bool = True
 
-    # CEGIS budgets.
-    max_cegis_iterations: int = 40
-    synthesis_max_conflicts: Optional[int] = None
-    synthesis_max_seconds: Optional[float] = None
+    # Whole-compile wall-clock budget.
     total_max_seconds: Optional[float] = None
 
     # Resource search.
     max_extra_entries: int = 8         # beyond the lower bound, per attempt
     # Iterative-deepening schedule over budgets (§6.7.2 portfolio,
-    # sequential emulation): each budget gets a time slice per round.
+    # sequential emulation): each budget gets a time slice per round,
+    # and the slice grows by compiler.TIME_SLICE_GROWTH between rounds.
     budget_time_slice: float = 10.0
-    time_slice_growth: float = 4.0
     max_time_slice: float = 900.0
 
     # Reproducibility.

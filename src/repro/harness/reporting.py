@@ -83,7 +83,7 @@ def format_table(
 def format_sat_phases(trace: Any) -> str:
     """One-line SAT-engine phase summary from a trace's counters.
 
-    The solver accounts its own propagate/analyze/simplify wall time and
+    The solver accounts its own propagate/analyze wall time and
     the bit-blaster its structural-cache hits (recorded per ``check`` by
     the SMT facade); summing them across all spans gives the solver-level
     profile without any external tooling.  Returns "" when the trace
@@ -100,7 +100,6 @@ def format_sat_phases(trace: Any) -> str:
         for label, key in (
             ("propagate", "sat.propagate_seconds"),
             ("analyze", "sat.analyze_seconds"),
-            ("simplify", "sat.simplify_seconds"),
         )
     ]
     parts.append(f"gate-cache hits {int(totals.get('sat.gate_cache_hits', 0))}")

@@ -53,8 +53,6 @@ OPTION_OVERRIDES = frozenset(
         "max_extra_entries",
         "budget_time_slice",
         "max_time_slice",
-        "synthesis_max_conflicts",
-        "synthesis_max_seconds",
         "total_max_seconds",
     }
 )

@@ -6,7 +6,7 @@ replacement used throughout the reproduction (see DESIGN.md).
 
 from .bitblast import BitBlaster
 from .sat import Budget, SatSolver
-from .solver import SAT, UNKNOWN, UNSAT, Model, Solver, solve_terms
+from .solver import SAT, UNKNOWN, UNSAT, Model, Solver
 from .terms import (
     BOOL,
     FALSE,
@@ -54,5 +54,5 @@ __all__ = [
     "Concat", "Eq", "ExactlyOne", "Extract", "FALSE", "If", "Iff", "Implies",
     "Lshr", "Model", "Not", "Or", "PopCountAtMost", "SAT", "SatSolver",
     "Shl", "Solver", "TRUE", "Term", "UGE", "UGT", "ULE", "ULT", "UNKNOWN",
-    "UNSAT", "Xor", "ZeroExt", "collect_vars", "evaluate", "solve_terms",
+    "UNSAT", "Xor", "ZeroExt", "collect_vars", "evaluate",
 ]

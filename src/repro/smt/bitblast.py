@@ -53,9 +53,9 @@ class BitBlaster:
         # test constants substituted into the shared candidate circuit)
         # while huge swaths of the gate structure repeat literal-for-
         # literal.  A Tseitin output is functionally determined by its
-        # inputs and its defining clauses are never retracted (push/pop
-        # is activation-literal based), so reusing the output literal is
-        # always sound and emits each distinct gate exactly once.
+        # inputs and its defining clauses are never retracted (the
+        # facade never retracts a clause), so reusing the output literal
+        # is always sound and emits each distinct gate exactly once.
         self._gate_cache: Dict[tuple, int] = {}
         self.gate_cache_hits = 0
 
@@ -344,8 +344,8 @@ class BitBlaster:
     # ------------------------------------------------------------------
     # Assertions and model extraction
     # ------------------------------------------------------------------
-    def assert_term(self, term: Term, guard_lits: List[int] | None = None) -> None:
-        """Assert a Bool term, optionally guarded: guard ∧ ... → term.
+    def assert_term(self, term: Term) -> None:
+        """Assert a Bool term.
 
         Top-level conjunctions are asserted conjunct-by-conjunct and
         top-level disjunctions become a single clause over their arguments'
@@ -353,16 +353,14 @@ class BitBlaster:
         constraint, which matters a great deal for the one-hot-heavy
         synthesis encodings."""
         fault_point("bitblast")
-        prefix = [neg(g) for g in guard_lits] if guard_lits else []
         if term.op == "and":
             for arg in term.args:
-                self.assert_term(arg, guard_lits)
+                self.assert_term(arg)
             return
         if term.op == "or":
-            clause = prefix + [self.bool_lit(a) for a in term.args]
-            self.solver.add_clause(clause)
+            self.solver.add_clause([self.bool_lit(a) for a in term.args])
             return
-        self.solver.add_clause(prefix + [self.bool_lit(term)])
+        self.solver.add_clause([self.bool_lit(term)])
 
     def model_bool(self, term: Term) -> bool:
         return self.solver.model_value(self.bool_lit(term))

@@ -126,18 +126,6 @@ class ClauseArena:
         for i in range(len(acts)):
             acts[i] *= factor
 
-    def shrink(self, cref: int, new_size: int) -> None:
-        """Reduce a clause's size in place (literals [0, new_size) kept).
-        Used by the simplifier's strengthening; freed words become waste."""
-        header = self.data[cref]
-        old_size = header >> 2
-        if not 2 <= new_size <= old_size:
-            raise ValueError(f"shrink {old_size} -> {new_size}")
-        if new_size == old_size:
-            return
-        self.data[cref] = (new_size << 2) | (header & 3)
-        self.wasted += old_size - new_size
-
     # ------------------------------------------------------------------
     # Compaction
     # ------------------------------------------------------------------
@@ -147,12 +135,11 @@ class ClauseArena:
     def compact(self, live_crefs: Iterable[int]) -> Dict[int, int]:
         """Relocate the given live clauses into a fresh arena.
 
-        The caller passes every cref it still holds (shrink-waste makes
-        the layout non-walkable, so liveness is the caller's knowledge);
-        anything not listed is dropped.  Returns the old-cref -> new-cref
-        mapping; the caller remaps its clause lists and reason column and
-        rebuilds watcher lists.  Activity slots are stable across
-        compaction, so learnt activities need no fix-up.
+        The caller passes every cref it still holds; anything not listed
+        is dropped.  Returns the old-cref -> new-cref mapping; the caller
+        remaps its clause lists and reason column and rebuilds watcher
+        lists.  Activity slots are stable across compaction, so learnt
+        activities need no fix-up.
         """
         old = self.data
         new: List[int] = []

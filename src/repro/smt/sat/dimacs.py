@@ -1,14 +1,14 @@
 """DIMACS CNF reading/writing for the SAT substrate.
 
-Primarily used by the test suite to cross-check the solver on standard
-formula formats, and for dumping hard synthesis queries for offline
-inspection.
+``repro sat solve`` reads its input with :func:`parse_dimacs`, and proof
+bundles store the formula a DRAT refutation refutes as DIMACS text
+(:meth:`~repro.smt.sat.proof.ProofLog.input_dimacs`), which
+:mod:`repro.persist.certify` parses back.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import List, Tuple, Union
+from typing import List, Tuple
 
 from .clause import lit_from_dimacs, to_dimacs
 from .solver import SatSolver
@@ -71,12 +71,6 @@ def parse_dimacs(text: str) -> Tuple[int, List[List[int]]]:
     return num_vars, clauses
 
 
-def load_dimacs(path: Union[str, Path]) -> SatSolver:
-    """Build a solver from a DIMACS file."""
-    text = Path(path).read_text()
-    return solver_from_dimacs(text)
-
-
 def solver_from_dimacs(text: str) -> SatSolver:
     num_vars, clauses = parse_dimacs(text)
     solver = SatSolver()
@@ -93,21 +87,3 @@ def write_dimacs(num_vars: int, clauses: List[List[int]]) -> str:
         lines.append(" ".join(str(to_dimacs(l)) for l in clause) + " 0")
     return "\n".join(lines) + "\n"
 
-
-def dump_solver(solver: SatSolver) -> str:
-    """Render a solver's *current* input formula as DIMACS: level-0 units
-    from the trail plus the live input clauses out of the arena.  Running
-    this after :meth:`SatSolver.presimplify` shows exactly what the
-    preprocessor left for search — the triage view the ``repro sat``
-    subcommand exists for.  Learnt clauses are deliberately excluded
-    (they are implied)."""
-    arena = solver.arena
-    clauses: List[List[int]] = []
-    root = solver.trail if not solver.trail_lim \
-        else solver.trail[: solver.trail_lim[0]]
-    for literal in root:
-        clauses.append([literal])
-    for cref in solver.clauses:
-        if not arena.is_deleted(cref):
-            clauses.append(arena.literals(cref))
-    return write_dimacs(solver.num_vars, clauses)

@@ -2,30 +2,25 @@
 
 A :class:`ProofLog` records the clausal derivation a solve performs on
 top of its input formula: every derived clause the solver commits to
-(learnt clauses, preprocessor resolvents, strengthened clauses, derived
-units) is an *addition*, every clause the solver discards (learnt-DB
-reduction, subsumption, BVE originals, satisfied clauses) is a
-*deletion*, and an unsatisfiability verdict ends with the empty clause.
-The log doubles as a record of the original formula: ``inputs`` holds
-every clause handed to ``add_clause`` verbatim, so a checker — or a
-certificate — can reconstruct the CNF the proof refutes without
-trusting solver state.
+(1-UIP learnt clauses, including units, and input clauses with
+level-0-falsified literals stripped) is an *addition*, every learnt
+clause that DB reduction discards is a *deletion*, and an
+unsatisfiability verdict ends with the empty clause.  The log doubles as
+a record of the original formula: ``inputs`` holds every clause handed
+to ``add_clause`` verbatim, so a checker — or a certificate — can
+reconstruct the CNF the proof refutes without trusting solver state.
 
 Every addition the solver emits is RUP (reverse unit propagation) with
 respect to the formula built from the inputs plus the prior additions
 minus the prior deletions:
 
 * a 1-UIP learnt clause (minimized or not) is RUP by construction;
-* a single resolvent of two in-formula clauses is RUP, which covers
-  self-subsuming resolution and every BVE resolvent;
 * a clause with level-0-falsified literals stripped is RUP given the
   unit clauses that falsified them.
 
-The one ordering obligation is that an addition must appear *before*
-the deletion of its antecedents — the simplifier logs BVE resolvents
-before the clauses containing the pivot, and strengthened clauses
-before their originals — which :mod:`repro.smt.sat.simplify` honours
-regardless of the order it mutates the arena in.
+Additions are logged when the search derives them and deletions when
+DB reduction drops them, so an addition always precedes the deletion
+of its antecedents, as a DRAT checker requires.
 
 Logging is off by default (``SatSolver.proof is None``) and every hook
 in the hot path is a single ``is not None`` test, so the solve path is

@@ -1,6 +1,6 @@
 """A CDCL SAT solver: two-watched literals, VSIDS, 1-UIP learning,
 Luby restarts, phase saving, learnt-clause reduction, and incremental
-solving under assumptions.
+clause addition between solves.
 
 The solver is deliberately self-contained (standard library only) because it
 is the combinatorial search substrate for the whole ParserHawk reproduction:
@@ -23,17 +23,16 @@ which removes the full watcher rebuild (quadratic in the limit) the
 previous object-based representation needed.  A compacting GC runs when
 deleted clauses waste more than half the arena.
 
-SatELite-style preprocessing (:mod:`repro.smt.sat.simplify`) is available
-through :meth:`SatSolver.presimplify`; eliminated variables are restored
-in :meth:`SatSolver.model` via the reconstruction stack the simplifier
-leaves behind.
+There is no preprocessing, no assumption solving and no clause
+retraction: the compiler only ever adds clauses and solves, so a DRAT
+log (:mod:`repro.smt.sat.proof`) holds only what this search derives.
 """
 
 from __future__ import annotations
 
 import time
 from time import perf_counter
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .arena import CREF_NONE, ClauseArena
 
@@ -184,11 +183,6 @@ class SatSolver:
         self.cla_inc = 1.0
         self.cla_decay = 0.999
         self.ok = True
-        # Variables removed by bounded variable elimination; never decided
-        # or re-used, and re-valued in model() via the reconstruction
-        # stack (lit, clauses-that-contained-lit) the simplifier pushes.
-        self.eliminated = bytearray()
-        self.reconstruction: List[Tuple[int, List[List[int]]]] = []
         self._seen = bytearray()             # scratch for _analyze
         self.num_conflicts = 0
         self.num_decisions = 0
@@ -207,7 +201,6 @@ class SatSolver:
         # profiling the hot path needs no external tooling.
         self.propagate_seconds = 0.0
         self.analyze_seconds = 0.0
-        self.simplify_seconds = 0.0
         # Deltas accumulated by the most recent ``solve`` call (the
         # lifetime totals above keep growing across incremental calls).
         self.last_solve_stats: Dict[str, float] = {}
@@ -225,7 +218,6 @@ class SatSolver:
         self.reason.append(CREF_NONE)
         self.activity.append(0.0)
         self.polarity.append(False)
-        self.eliminated.append(0)
         self._seen.append(0)
         self.watches.append([])
         self.watches.append([])
@@ -265,13 +257,7 @@ class SatSolver:
         return self.proof
 
     def add_clause(self, lits: Iterable[int]) -> bool:
-        """Add an input clause. Returns False if the formula became UNSAT.
-
-        Raises ``ValueError`` when a literal names a variable removed by
-        :meth:`presimplify` — adding to an eliminated variable would
-        invalidate the elimination's model reconstruction, so callers
-        that keep asserting incrementally must freeze those variables.
-        """
+        """Add an input clause. Returns False if the formula became UNSAT."""
         if not self.ok:
             return False
         self.num_clauses_added += 1
@@ -283,7 +269,6 @@ class SatSolver:
             # Incremental use: retract the previous solve's decisions.
             self._cancel_until(0)
         assign = self.assign
-        eliminated = self.eliminated
         if type(lits) is list and len(lits) == 2:
             # Fast path for binary clauses — the overwhelming majority of
             # what gate encodings emit.  Skips the dedup set; semantics
@@ -292,11 +277,6 @@ class SatSolver:
             v0 = l0 >> 1
             v1 = l1 >> 1
             if v0 < len(assign) and v1 < len(assign):
-                if eliminated[v0] or eliminated[v1]:
-                    raise ValueError(
-                        "variable was eliminated by presimplify(); "
-                        "freeze it to keep using it incrementally"
-                    )
                 a0 = assign[v0]
                 a1 = assign[v1]
                 if a0 < 0 and a1 < 0:
@@ -318,12 +298,6 @@ class SatSolver:
             if v >= len(assign):
                 self.ensure_vars(v + 1)
                 assign = self.assign
-                eliminated = self.eliminated
-            elif eliminated[v]:
-                raise ValueError(
-                    f"variable {v} was eliminated by presimplify(); "
-                    "freeze it to keep using it incrementally"
-                )
             a = assign[v]
             if a >= 0:
                 if a ^ (l & 1):
@@ -368,8 +342,8 @@ class SatSolver:
 
     def _rebuild_watches(self) -> None:
         """Re-derive every watcher list from the clause lists (used after
-        arena compaction and after preprocessing rewrites the clause set;
-        also drops any lazily-dead crefs still sitting in the lists)."""
+        arena compaction; also drops any lazily-dead crefs still sitting
+        in the lists)."""
         for lst in self.watches:
             del lst[:]
         data = self.arena.data
@@ -389,10 +363,9 @@ class SatSolver:
         for v in range(len(reason)):
             r = reason[v]
             if r >= 0:
-                # Locked (reason) clauses are never deleted, so the get()
-                # default only covers level-0 reasons whose clause the
-                # simplifier removed; analysis never dereferences those.
-                reason[v] = mapping.get(r, CREF_NONE)
+                # Locked (reason) clauses are never deleted, so every
+                # reason survives compaction.
+                reason[v] = mapping[r]
         self._rebuild_watches()
         self.num_gcs += 1
 
@@ -681,48 +654,6 @@ class SatSolver:
         return self.reason[v] == cref and self.value_lit(first) == TRUE
 
     # ------------------------------------------------------------------
-    # Preprocessing
-    # ------------------------------------------------------------------
-    def presimplify(
-        self,
-        frozen: Optional[Iterable[int]] = None,
-        max_rounds: int = 3,
-    ):
-        """Run SatELite-style preprocessing (subsumption, self-subsuming
-        resolution, bounded variable elimination) on the input clauses.
-
-        ``frozen`` lists variable indices that must survive elimination —
-        anything the caller will still mention in assumptions or future
-        ``add_clause`` calls (the incremental SMT facade freezes
-        everything and therefore opts out entirely; the standalone DIMACS
-        path freezes nothing).  Learnt clauses are discarded first: after
-        elimination they could re-introduce removed variables.
-
-        Returns the :class:`~repro.smt.sat.simplify.SimplifyStats` for
-        the run, or ``None`` when the solver is already UNSAT.  Sets
-        ``ok=False`` when preprocessing derives unsatisfiability.
-        """
-        from .simplify import Simplifier
-
-        if not self.ok:
-            return None
-        self._cancel_until(0)
-        t0 = perf_counter()
-        try:
-            proof = self.proof
-            for cref in self.learnts:
-                if not self.arena.is_deleted(cref):
-                    if proof is not None:
-                        proof.delete(self.arena.literals(cref))
-                    self.arena.delete(cref)
-            self.learnts = []
-            simp = Simplifier(self, frozen=frozen, max_rounds=max_rounds)
-            stats = simp.run()
-        finally:
-            self.simplify_seconds += perf_counter() - t0
-        return stats
-
-    # ------------------------------------------------------------------
     # Search
     # ------------------------------------------------------------------
     def _pick_branch_var(self) -> int:
@@ -731,21 +662,16 @@ class SatSolver:
 
             self.order = ActivityHeap(self.activity)
             self.order.build(range(self.num_vars))
-        eliminated = self.eliminated
         assign = self.assign
         order = self.order
         while len(order):
             v = order.pop_max()
-            if assign[v] == UNDEF and not eliminated[v]:
+            if assign[v] == UNDEF:
                 return v
         return -1
 
-    def solve(
-        self,
-        assumptions: Sequence[int] = (),
-        budget: Optional[Budget] = None,
-    ) -> Optional[bool]:
-        """Solve the formula under assumptions.
+    def solve(self, budget: Optional[Budget] = None) -> Optional[bool]:
+        """Solve the formula.
 
         Returns True (SAT), False (UNSAT), or None if the budget ran out.
         ``last_solve_stats`` afterwards holds this call's deltas
@@ -763,7 +689,7 @@ class SatSolver:
             self.analyze_seconds,
         )
         try:
-            return self._solve(assumptions, budget)
+            return self._solve(budget)
         finally:
             self.last_solve_stats = {
                 "conflicts": self.num_conflicts - before[0],
@@ -775,19 +701,9 @@ class SatSolver:
                 "analyze_seconds": self.analyze_seconds - before[6],
             }
 
-    def _solve(
-        self,
-        assumptions: Sequence[int] = (),
-        budget: Optional[Budget] = None,
-    ) -> Optional[bool]:
+    def _solve(self, budget: Optional[Budget]) -> Optional[bool]:
         if not self.ok:
             return False
-        for a in assumptions:
-            if self.eliminated[a >> 1]:
-                raise ValueError(
-                    f"assumption on eliminated variable {a >> 1}; "
-                    "freeze assumption variables before presimplify()"
-                )
         self._cancel_until(0)
         proof = self.proof
         conflict = self._propagate()
@@ -796,7 +712,6 @@ class SatSolver:
                 proof.add_empty()
             self.ok = False
             return False
-        self.conflict_assumptions: List[int] = []
         restart_idx = 1
         restart_limit = 32 * luby(restart_idx)
         conflicts_this_restart = 0
@@ -855,66 +770,22 @@ class SatSolver:
                 conflicts_this_restart = 0
                 self._cancel_until(0)
                 continue
-            # Respect assumptions before free decisions.
-            next_lit = None
-            for a in assumptions:
-                val = self.value_lit(a)
-                if val == FALSE:
-                    self._record_assumption_conflict(a, assumptions)
-                    self._cancel_until(0)
-                    return False
-                if val == UNDEF:
-                    next_lit = a
-                    break
-            if next_lit is not None:
-                self.num_decisions += 1
-                self._new_decision_level()
-                self._enqueue(next_lit, CREF_NONE)
-                continue
             v = self._pick_branch_var()
             if v < 0:
-                return True  # all non-eliminated variables assigned: SAT
+                return True  # all variables assigned: SAT
             self.num_decisions += 1
             self._new_decision_level()
             literal = 2 * v + (0 if self.polarity[v] else 1)
             self._enqueue(literal, CREF_NONE)
 
-    def _record_assumption_conflict(
-        self, failed: int, assumptions: Sequence[int]
-    ) -> None:
-        """Record a (coarse) subset of assumptions responsible for failure."""
-        self.conflict_assumptions = [failed]
-
     # ------------------------------------------------------------------
     # Model access
     # ------------------------------------------------------------------
     def model(self) -> List[bool]:
-        """The satisfying assignment after a True result (per variable).
-
-        Eliminated variables are re-valued from the reconstruction stack:
-        processed newest-first, each eliminated literal defaults to false
-        and flips to true exactly when one of its saved clauses is not
-        already satisfied — the standard SatELite argument guarantees the
-        opposite-polarity clauses (whose resolvents the solver did see)
-        then hold as well."""
-        m = [a == TRUE for a in self.assign]
-        for l, saved in reversed(self.reconstruction):
-            v = l >> 1
-            m[v] = (l & 1) == 1  # default: literal l false
-            for clause in saved:
-                satisfied = False
-                for q in clause:
-                    if q != l and m[q >> 1] != bool(q & 1):
-                        satisfied = True
-                        break
-                if not satisfied:
-                    m[v] = (l & 1) == 0  # literal l true
-                    break
-        return m
+        """The satisfying assignment after a True result (per variable)."""
+        return [a == TRUE for a in self.assign]
 
     def model_value(self, literal: int) -> bool:
-        if self.reconstruction and self.eliminated[literal >> 1]:
-            return self.model()[literal >> 1] ^ bool(literal & 1)
         return self.value_lit(literal) == TRUE
 
     def stats(self) -> Dict[str, float]:
@@ -928,10 +799,8 @@ class SatSolver:
             "restarts": self.num_restarts,
             "learned": self.num_learned,
             "clauses_added": self.num_clauses_added,
-            "eliminated": sum(self.eliminated),
             "arena_words": len(self.arena),
             "arena_gcs": self.num_gcs,
             "propagate_seconds": round(self.propagate_seconds, 6),
             "analyze_seconds": round(self.analyze_seconds, 6),
-            "simplify_seconds": round(self.simplify_seconds, 6),
         }

@@ -1,21 +1,20 @@
 """z3py-style ``Solver`` facade over the term layer, bit-blaster and CDCL.
 
-Supports incremental use: ``add`` asserts terms, ``push``/``pop`` manage
-scopes via activation literals (popped scopes are permanently disabled,
-which is how assumption-based incremental SAT implements retraction), and
-``check``/``model`` mirror the z3 calling convention closely enough that
-ParserHawk's CEGIS loop reads like the paper's pseudo-code.
+Supports incremental use: ``add`` asserts terms and ``check``/``model``
+mirror the z3 calling convention closely enough that ParserHawk's CEGIS
+loop reads like the paper's pseudo-code.  Assertions are permanent: CEGIS
+only ever adds constraints between checks, so the facade has no scopes
+and ``check`` takes no assumption literals.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, Optional
 
 from ..obs import get_tracer
 from ..resilience import SolverResourceExhausted
 from ..resilience.injection import fault_point
 from .bitblast import BitBlaster
-from .sat.clause import neg
 from .sat.solver import Budget, SatSolver
 from .terms import BOOL, Term, collect_vars
 
@@ -55,9 +54,6 @@ class Model:
                 env[var] = False if var.sort == BOOL else 0
         return evaluate(term, env)
 
-    def variables(self) -> List[Term]:
-        return list(self._values)
-
     def __repr__(self) -> str:
         parts = ", ".join(
             f"{v.extra[0]}={val}" for v, val in sorted(
@@ -72,11 +68,9 @@ class Solver:
 
     ``proof=True`` turns on DRAT logging in the underlying CDCL core
     (see :mod:`repro.smt.sat.proof`); the log is reachable via
-    :attr:`proof` and covers every clause the bit-blaster emits.  An
-    UNSAT verdict from an assumption-free :meth:`check` then carries a
-    checkable refutation of the blasted CNF; UNSAT under assumptions or
-    popped scopes does not end in the empty clause (the assumptions are
-    not part of the formula) and is out of scope for certification.
+    :attr:`proof` and covers every clause the bit-blaster emits, so an
+    UNSAT verdict from :meth:`check` carries a checkable refutation of
+    the blasted CNF.
     """
 
     def __init__(self, proof: bool = False) -> None:
@@ -84,7 +78,6 @@ class Solver:
         if proof:
             self._sat.enable_proof()
         self._blaster = BitBlaster(self._sat)
-        self._scope_lits: List[int] = []
         self._vars: set[Term] = set()
         # Terms whose sub-DAG was already scanned for variables.  Interned
         # terms make this sound, and it turns per-assert variable
@@ -93,52 +86,31 @@ class Solver:
         # for the shared structure.
         self._scanned: set[Term] = set()
         self._model: Optional[Model] = None
-        self._last_result = UNKNOWN
         self._gate_hits_seen = 0  # for per-check gate-cache deltas
-        self._simplify_seen = 0.0  # for per-check simplify-time deltas
         self._proof_logged_seen = 0  # for per-check proof-step deltas
 
     # ------------------------------------------------------------------
     def add(self, *terms: Term) -> None:
-        """Assert one or more Bool terms in the current scope."""
+        """Assert one or more Bool terms."""
         for term in terms:
             if not isinstance(term, Term) or term.sort != BOOL:
                 raise TypeError(f"Solver.add expects Bool terms, got {term!r}")
             collect_vars(term, self._vars, self._scanned)
-            guard = [self._scope_lits[-1]] if self._scope_lits else None
-            self._blaster.assert_term(term, guard_lits=guard)
-
-    def push(self) -> None:
-        """Open a retractable assertion scope."""
-        act = self._blaster.fresh_lit()
-        self._scope_lits.append(act)
-
-    def pop(self) -> None:
-        """Discard the most recent scope's assertions."""
-        if not self._scope_lits:
-            raise RuntimeError("pop without matching push")
-        act = self._scope_lits.pop()
-        self._sat.add_clause([neg(act)])
+            self._blaster.assert_term(term)
 
     def check(
         self,
-        *assumptions: Term,
+        *,
         max_conflicts: Optional[int] = None,
         max_seconds: Optional[float] = None,
     ) -> str:
         """Solve; returns "sat", "unsat", or "unknown" (budget exhausted)."""
-        assume_lits = list(self._scope_lits)
-        for term in assumptions:
-            if not isinstance(term, Term) or term.sort != BOOL:
-                raise TypeError(f"assumption must be Bool, got {term!r}")
-            collect_vars(term, self._vars, self._scanned)
-            assume_lits.append(self._blaster.bool_lit(term))
         budget = None
         if max_conflicts is not None or max_seconds is not None:
             budget = Budget(max_conflicts=max_conflicts, max_seconds=max_seconds)
         fault_point("sat.solve")
         try:
-            result = self._sat.solve(assume_lits, budget=budget)
+            result = self._sat.solve(budget=budget)
         except (MemoryError, RecursionError) as exc:
             # Hard resource exhaustion (as opposed to a *planned* budget,
             # which reports "unknown"): surface as a typed CompileFault so
@@ -171,9 +143,6 @@ class Solver:
             tracer.count(
                 "sat.analyze_seconds", delta.get("analyze_seconds", 0.0)
             )
-            simp = self._sat.simplify_seconds
-            tracer.count("sat.simplify_seconds", simp - self._simplify_seen)
-            self._simplify_seen = simp
             tracer.count("sat.gate_cache_hits", gate_hits)
             if self._sat.proof is not None:
                 logged = self._sat.proof.clauses_logged
@@ -182,14 +151,12 @@ class Solver:
                 )
                 self._proof_logged_seen = logged
         if result is None:
-            self._last_result = UNKNOWN
-        elif result:
+            return UNKNOWN
+        if result:
             self._model = Model(self._blaster, self._vars)
-            self._last_result = SAT
-        else:
-            self._model = None
-            self._last_result = UNSAT
-        return self._last_result
+            return SAT
+        self._model = None
+        return UNSAT
 
     def model(self) -> Model:
         if self._model is None:
@@ -212,11 +179,3 @@ class Solver:
     def blaster(self) -> BitBlaster:
         return self._blaster
 
-
-def solve_terms(*terms: Term, **kwargs) -> Optional[Model]:
-    """One-shot convenience: returns a Model or None (unsat/unknown)."""
-    solver = Solver()
-    solver.add(*terms)
-    if solver.check(**kwargs) == SAT:
-        return solver.model()
-    return None

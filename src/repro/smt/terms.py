@@ -92,10 +92,6 @@ class Term:
     # Terms are interned, so Python equality is structural equality via
     # identity, which keeps sets/dicts/`in` checks sound.  Build equations
     # with the explicit :func:`Eq`.
-    def structurally_same(self, other: "Term") -> bool:
-        """Identity check (terms are interned, so identity == structure)."""
-        return self is other
-
     def __and__(self, other):
         other = _coerce(other, self.sort)
         return BvAnd(self, other) if not self.is_bool else And(self, other)

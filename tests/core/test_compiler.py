@@ -358,8 +358,7 @@ class TestBudgetAccounting:
         opts = CompileOptions(
             max_extra_entries=0,       # exactly one budget
             budget_time_slice=0.05,    # three escalation rounds:
-            time_slice_growth=2.0,     # 0.05, 0.1, 0.2
-            max_time_slice=0.2,
+            max_time_slice=0.8,        # 0.05, 0.2, 0.8
         )
         result = ParserHawkCompiler(opts).compile(dispatch_spec, TOFINO)
         assert result.status == STATUS_TIMEOUT

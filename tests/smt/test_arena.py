@@ -53,16 +53,6 @@ class TestArenaLayout:
         c1 = arena.alloc([0, 2])
         assert arena.activity(c1) == 0.0
 
-    def test_shrink_reclaims_words(self):
-        arena = ClauseArena()
-        c1 = arena.alloc([0, 2, 4, 6])
-        arena.shrink(c1, 2)
-        assert arena.size(c1) == 2
-        assert arena.literals(c1) == [0, 2]
-        assert arena.wasted == 2
-        with pytest.raises(ValueError):
-            arena.shrink(c1, 1)
-
     def test_compact_relocates_and_preserves_activities(self):
         arena = ClauseArena()
         c1 = arena.alloc([0, 2, 4])
@@ -119,7 +109,6 @@ class TestSolverArenaIntegration:
         stats = s.stats()
         assert stats["propagate_seconds"] >= 0.0
         assert stats["analyze_seconds"] >= 0.0
-        assert "simplify_seconds" in stats
         assert "arena_words" in stats
         delta = s.last_solve_stats
         assert delta["propagate_seconds"] > 0.0
@@ -159,8 +148,8 @@ class TestLubyMemo:
 
 # ---------------------------------------------------------------------------
 # Proof-logging fuzz: every UNSAT verdict must come with a refutation the
-# independent RUP checker accepts — with and without preprocessing, checked
-# against the ORIGINAL clause list (never solver state).
+# independent RUP checker accepts, checked against the ORIGINAL clause list
+# (never solver state).
 # ---------------------------------------------------------------------------
 
 class TestProofFuzz:
@@ -185,7 +174,6 @@ class TestProofFuzz:
         unsat_seen = 0
         for trial in range(self.TRIALS):
             n, clauses = self._random_cnf(rng)
-            presimplify = trial % 2 == 1
             s = SatSolver()
             log = s.enable_proof()
             s.ensure_vars(n)
@@ -194,15 +182,12 @@ class TestProofFuzz:
                 if not s.add_clause(clause):
                     ok = False
                     break
-            if ok and presimplify:
-                s.presimplify()
-                ok = s.ok
             result = s.solve() if ok else False
             if result is not False:
                 continue
             unsat_seen += 1
             assert log.has_refutation, (trial, clauses)
             check = check_drat_text(clauses, log.to_drat())
-            assert check.verified, (trial, presimplify, check.reason, clauses)
-        # The corpus must actually exercise the UNSAT path, both arms.
+            assert check.verified, (trial, check.reason, clauses)
+        # The corpus must actually exercise the UNSAT path.
         assert unsat_seen > 50

@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.smt import (
-    And,
     BitVec,
     BitVecVal,
     Bool,
@@ -28,14 +27,12 @@ from repro.smt import (
     If,
     Implies,
     Not,
-    Or,
     SAT,
     Solver,
     ULE,
     ULT,
     UNSAT,
     evaluate,
-    solve_terms,
 )
 
 
@@ -69,46 +66,6 @@ class TestSolverFacade:
         m = s.model()
         assert m[x] == 255
         assert m.eval(BvAdd(x, BitVecVal(2, 8))) == 1
-
-    def test_push_pop(self):
-        x = BitVec("ppx", 4)
-        s = Solver()
-        s.add(ULT(x, BitVecVal(5, 4)))
-        s.push()
-        s.add(ULT(BitVecVal(10, 4), x))
-        assert s.check() == UNSAT
-        s.pop()
-        assert s.check() == SAT
-        assert s.model()[x] < 5
-
-    def test_nested_push_pop(self):
-        p, q = Bool("np"), Bool("nq")
-        s = Solver()
-        s.add(Or(p, q))
-        s.push()
-        s.add(Not(p))
-        s.push()
-        s.add(Not(q))
-        assert s.check() == UNSAT
-        s.pop()
-        assert s.check() == SAT
-        assert s.model()[q] is True
-        s.pop()
-        assert s.check() == SAT
-
-    def test_check_with_assumptions(self):
-        p, q = Bool("ap"), Bool("aq")
-        s = Solver()
-        s.add(Or(p, q))
-        assert s.check(Not(p), Not(q)) == UNSAT
-        assert s.check(Not(p)) == SAT
-        assert s.model()[q] is True
-
-    def test_solve_terms_helper(self):
-        x = BitVec("hx", 4)
-        model = solve_terms(Eq(x, BitVecVal(9, 4)))
-        assert model is not None and model[x] == 9
-        assert solve_terms(And(Bool("hp"), Not(Bool("hp")))) is None
 
 
 class TestArithmetic:

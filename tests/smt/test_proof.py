@@ -2,9 +2,8 @@
 budget fixes that ride along with them.
 
 The heavyweight end-to-end fuzz (every UNSAT random CNF must yield a
-checker-accepted refutation, with and without preprocessing) lives in
-``tests/smt/test_arena.py`` next to the solver-integration fuzz; this
-module covers the pieces in isolation.
+checker-accepted refutation) lives in ``tests/smt/test_arena.py`` next to
+the solver-integration fuzz; this module covers the pieces in isolation.
 """
 
 import pytest
@@ -18,6 +17,24 @@ from repro.smt.sat import (
     parse_drat,
 )
 from repro.smt.sat.dratcheck import check_drat_text
+
+
+def php_clauses(holes):
+    """Pigeonhole php(holes): holes + 1 pigeons, provably UNSAT."""
+
+    def var(p, h):
+        return p * holes + h
+
+    clauses = []
+    for p in range(holes + 1):
+        clauses.append([lit(var(p, h)) for h in range(holes)])
+    for h in range(holes):
+        for p1 in range(holes + 1):
+            for p2 in range(p1 + 1, holes + 1):
+                clauses.append(
+                    [lit(var(p1, h), False), lit(var(p2, h), False)]
+                )
+    return clauses
 
 
 # ---------------------------------------------------------------------------
@@ -189,23 +206,12 @@ class TestSolverProofLogging:
         assert check_drat_text(log.inputs, log.to_drat()).verified
 
     def test_learnt_clauses_are_logged_and_check(self):
-        # php(4): conflict-heavy UNSAT with learning and DB reduction.
-        holes = 4
+        # php(4): UNSAT after 28 conflicts, so the log holds 1-UIP learnt
+        # clauses but no deletions (DB reduction first runs past 1,000
+        # learnt clauses).
+        clauses = php_clauses(4)
         s = SatSolver()
         log = s.enable_proof()
-
-        def var(p, h):
-            return p * holes + h
-
-        clauses = []
-        for p in range(holes + 1):
-            clauses.append([lit(var(p, h)) for h in range(holes)])
-        for h in range(holes):
-            for p1 in range(holes + 1):
-                for p2 in range(p1 + 1, holes + 1):
-                    clauses.append(
-                        [lit(var(p1, h), False), lit(var(p2, h), False)]
-                    )
         for c in clauses:
             s.add_clause(c)
         assert s.solve() is False
@@ -213,27 +219,17 @@ class TestSolverProofLogging:
         result = check_drat_text(clauses, log.to_drat())
         assert result.verified, result.reason
 
-    def test_simplifier_steps_are_logged_and_check(self):
-        holes = 4
+    def test_db_reduction_deletions_are_logged_and_check(self):
+        # php(6): UNSAT after about a thousand conflicts, enough for
+        # learnt-DB reduction to delete clauses, so the checker must
+        # accept a log that carries the solver's own deletions.
+        clauses = php_clauses(6)
         s = SatSolver()
         log = s.enable_proof()
-
-        def var(p, h):
-            return p * holes + h
-
-        clauses = []
-        for p in range(holes + 1):
-            clauses.append([lit(var(p, h)) for h in range(holes)])
-        for h in range(holes):
-            for p1 in range(holes + 1):
-                for p2 in range(p1 + 1, holes + 1):
-                    clauses.append(
-                        [lit(var(p1, h), False), lit(var(p2, h), False)]
-                    )
         for c in clauses:
             s.add_clause(c)
-        s.presimplify()
         assert s.solve() is False
+        assert log.deletions > 0
         result = check_drat_text(clauses, log.to_drat())
         assert result.verified, result.reason
 
