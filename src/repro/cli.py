@@ -25,7 +25,8 @@ through files (atomic envelopes in the service directory), so ``status``
 and ``result`` work even when no server is running.
 
 Interrupting a checkpointed compile (Ctrl-C) flushes a final checkpoint
-and prints the ``--resume`` invocation hint before exiting with the
+and prints a hint to re-run the same command (a matching checkpoint in
+``--checkpoint-dir`` is always resumed) before exiting with the
 conventional SIGINT status (130).
 """
 
@@ -142,7 +143,7 @@ def _print_failure(result, args: argparse.Namespace) -> None:
     if getattr(result, "checkpoint_path", ""):
         print(
             f"progress saved to {result.checkpoint_path}; "
-            "re-run with --resume to continue from it",
+            "re-run the same command to continue from it",
             file=sys.stderr,
         )
 
@@ -161,7 +162,6 @@ def cmd_compile(args: argparse.Namespace) -> int:
         parallel_workers=args.jobs,
         seed=args.seed,
         checkpoint_dir=args.checkpoint_dir,
-        resume=args.resume,
         checkpoint_interval_seconds=args.checkpoint_interval,
         cache_dir=args.cache_dir,
         test_reuse=not args.no_test_reuse,
@@ -624,14 +624,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_compile.add_argument(
         "--checkpoint-dir", metavar="DIR", default=None,
         help="persist durable CEGIS/budget-search checkpoints under DIR "
-        "(atomic, checksummed); timeouts, faults, and Ctrl-C then print "
-        "a --resume hint",
-    )
-    p_compile.add_argument(
-        "--resume", action="store_true",
-        help="reload a matching checkpoint from --checkpoint-dir: prior "
-        "counterexamples are replayed and budgets proved UNSAT are "
-        "skipped",
+        "(atomic, checksummed) and resume a matching one found there: "
+        "prior counterexamples are replayed and budgets proved UNSAT are "
+        "skipped; pass an empty DIR to start over",
     )
     p_compile.add_argument(
         "--checkpoint-interval", type=float, default=0.0, metavar="SECONDS",
@@ -901,10 +896,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "resume", False) and not getattr(
-        args, "checkpoint_dir", None
-    ):
-        parser.error("--resume requires --checkpoint-dir")
     try:
         return args.func(args)
     except KeyboardInterrupt:
@@ -915,7 +906,7 @@ def main(argv: Optional[list] = None) -> int:
         if getattr(args, "checkpoint_dir", None):
             print(
                 f"interrupted; progress saved under {args.checkpoint_dir} "
-                "— re-run with --resume to continue",
+                "— re-run the same command to continue",
                 file=sys.stderr,
             )
         else:

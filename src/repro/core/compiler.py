@@ -34,7 +34,6 @@ from ..persist import (
     cache_for_options,
     certificate_doc,
     compile_key,
-    program_fingerprint,
     spec_fingerprint,
     store_proof_bundle,
     write_certificate,
@@ -96,11 +95,11 @@ class ParserHawkCompiler:
         * a compile cache (``options.cache_dir``) is consulted before any
           synthesis and fed on success;
         * a checkpoint directory (``options.checkpoint_dir``) makes CEGIS
-          progress durable; ``options.resume`` reloads a matching
-          checkpoint so an interrupted compile restarts seeded with all
-          previously discovered counterexamples and skips budgets proved
-          UNSAT.  Timeout/fault results then carry ``checkpoint_path``
-          naming the file that continues them.
+          progress durable, and a checkpoint already there with a
+          matching compile key is resumed: an interrupted compile
+          restarts seeded with all previously discovered counterexamples
+          and skips budgets proved UNSAT.  Timeout/fault results then
+          carry ``checkpoint_path`` naming the file that continues them.
         """
         options = self.options
         cache = cache_for_options(options)
@@ -120,7 +119,6 @@ class ParserHawkCompiler:
                 options.checkpoint_dir,
                 key,
                 interval_seconds=options.checkpoint_interval_seconds,
-                resume=options.resume,
             )
 
         # CompileStats is read off the compile span, so a compile always
@@ -143,7 +141,7 @@ class ParserHawkCompiler:
         result.options_summary = options.enabled_summary()
         if result.ok:
             if manager is not None:
-                manager.mark_completed(program_fingerprint(result.program))
+                manager.flush(force=True)
             if cache is not None:
                 cache.store(
                     key,

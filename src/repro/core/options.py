@@ -25,8 +25,6 @@ class CompileOptions:
     # §6.4 constant synthesis: one-hot candidate pools for TCAM value/mask
     # pairs instead of free symbolic bit-vectors.
     opt4_constant_synthesis: bool = True
-    # §6.4.1 recovery: include concatenations of adjacent states' constants.
-    opt4_adjacent_concat: bool = True
     # §6.5 grouped transition-key allocation: treat each field slice used by
     # the spec as one indivisible key group.
     opt5_key_grouping: bool = True
@@ -64,14 +62,13 @@ class CompileOptions:
     seed: int = 0
 
     # Persistence (see repro.persist).  ``checkpoint_dir`` enables durable
-    # CEGIS/budget-search checkpoints; ``resume`` additionally reloads an
-    # existing checkpoint with a matching compile key.  ``cache_dir``
-    # enables the content-addressed compile cache.  None disables each.
-    # These knobs change where state lives, never which program a
-    # successful compile produces, so fingerprint.NON_SEMANTIC_OPTIONS
-    # excludes them from cache keys.
+    # CEGIS/budget-search checkpoints, and a checkpoint already there
+    # with a matching compile key is resumed.  ``cache_dir`` enables the
+    # content-addressed compile cache.  None disables each.  These knobs
+    # change where state lives, never which program a successful compile
+    # produces, so fingerprint.NON_SEMANTIC_OPTIONS excludes them from
+    # cache keys.
     checkpoint_dir: Optional[str] = None
-    resume: bool = False
     checkpoint_interval_seconds: float = 0.0   # min seconds between flushes
     cache_dir: Optional[str] = None
     # Certifying mode: DRAT proof logging in every CEGIS solver, an
@@ -93,7 +90,6 @@ class CompileOptions:
             opt1_spec_guided_keys=False,
             opt2_bitwidth_minimization=False,
             opt4_constant_synthesis=False,
-            opt4_adjacent_concat=False,
             opt5_key_grouping=False,
             opt6_fixed_varbits=False,
             opt7_parallelism=False,

@@ -43,17 +43,13 @@ import concurrent.futures
 import time
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..hw.device import DeviceProfile
 from ..ir.spec import ParserSpec
 from ..obs import Tracer, get_tracer, use_tracer
-from ..persist import (
-    CheckpointManager,
-    arm_checkpoint_dir,
-    compile_key,
-    program_fingerprint,
-)
+from ..persist import arm_checkpoint_dir
 from ..resilience import CompileFault, PoolBroken
 from ..resilience import injection as _injection
 from ..resilience.injection import fault_point
@@ -270,13 +266,10 @@ def _run_arms_inline(
     tracer,
     deadline: Optional[float],
     results: List[Tuple[int, CompileResult]],
-    on_result=None,
 ) -> List[str]:
     """Run arms in-process, best priority first, under supervision.
 
-    Appends each arm's ``(priority, result)`` to ``results`` (invoking
-    ``on_result(priority, result)`` after each, which is how the
-    portfolio checkpoint records arm outcomes incrementally) and stops
+    Appends each arm's ``(priority, result)`` to ``results`` and stops
     early on a valid winner.  Returns the labels of arms *not run*
     because the deadline expired first (empty otherwise)."""
     ordered = sorted(subproblems, key=lambda s: s.priority)
@@ -298,8 +291,6 @@ def _run_arms_inline(
                 arm_span.attrs["error"] = result.message
                 tracer.count("portfolio.arm_faults")
         results.append((sub.priority, result))
-        if on_result is not None:
-            on_result(sub.priority, result)
         if _valid_winner(result, device):
             break
     return []
@@ -333,7 +324,6 @@ def _run_pooled(
     deadline: Optional[float],
     workers: int,
     results: List[Tuple[int, CompileResult]],
-    on_result=None,
 ) -> List[str]:
     """Race arms across a process pool; returns still-pending labels.
 
@@ -352,8 +342,7 @@ def _run_pooled(
             reason=f"{type(exc).__name__}: {exc}",
         ):
             return _run_arms_inline(
-                spec, subproblems, device, tracer, deadline, results,
-                on_result,
+                spec, subproblems, device, tracer, deadline, results
             )
 
     faults = _injection.snapshot() or None
@@ -387,8 +376,6 @@ def _run_pooled(
         if counters is not None and tracer.enabled:
             tracer.registry.merge(counters)
         results.append((priority, result))
-        if on_result is not None:
-            on_result(priority, result)
         return _valid_winner(result, device)
 
     broken: Optional[BaseException] = None
@@ -459,8 +446,7 @@ def _run_pooled(
             arms=len(remaining),
         ):
             return _run_arms_inline(
-                spec, remaining, device, tracer, deadline, results,
-                on_result,
+                spec, remaining, device, tracer, deadline, results
             )
     return [s.label for s in sorted(expired, key=lambda s: s.priority)]
 
@@ -483,12 +469,12 @@ def portfolio_compile(
     as a portfolio-level wall-clock deadline with best-effort partial
     results.
 
-    Persistence (``options.checkpoint_dir``): the portfolio keeps a
-    supervisor checkpoint at the root directory recording each finished
-    arm's status, and redirects every arm's own compile checkpoint into
-    ``<root>/arms/<label>/`` — so a killed portfolio resumes with
-    definitively-failed (infeasible) arms skipped outright and every
-    other arm reloading its own CEGIS progress."""
+    Persistence (``options.checkpoint_dir``): every arm's own compile
+    checkpoint lives in ``<root>/arms/<label>/``, so a re-run with the
+    same root resumes each arm from its own CEGIS progress — an arm that
+    already retired every budget re-derives its infeasible verdict
+    without building a skeleton.  A timeout or fault names the root
+    directory, which is what the re-run passes back."""
     options = options or CompileOptions()
     subproblems = derive_subproblems(spec, device, options)
     workers = max(1, options.parallel_workers)
@@ -499,17 +485,10 @@ def portfolio_compile(
         else None
     )
 
-    manager: Optional[CheckpointManager] = None
     if options.checkpoint_dir:
-        manager = CheckpointManager(
-            options.checkpoint_dir,
-            compile_key(spec, device, options),
-            interval_seconds=options.checkpoint_interval_seconds,
-            resume=options.resume,
-        )
-        # Each arm checkpoints independently under the supervisor's
-        # directory; the arm's own compile key (its variant device +
-        # options) guards each sub-checkpoint against spec changes.
+        # Each arm checkpoints independently under the root directory;
+        # the arm's own compile key (its variant device + options)
+        # guards each sub-checkpoint against spec changes.
         subproblems = [
             Subproblem(
                 sub.label,
@@ -518,61 +497,33 @@ def portfolio_compile(
                     checkpoint_dir=arm_checkpoint_dir(
                         options.checkpoint_dir, sub.label
                     ),
-                    resume=options.resume,
                 ),
                 sub.priority,
             )
             for sub in subproblems
         ]
 
-    label_of = {sub.priority: sub.label for sub in subproblems}
     results: List[Tuple[int, CompileResult]] = []
-    to_run = subproblems
-    if manager is not None and options.resume:
-        # Arms a previous run proved infeasible stay failed: rebuild
-        # their recorded results instead of re-running them.  Faulted or
-        # timed-out arms re-run (their own checkpoints make that cheap).
-        finished = manager.finished_arms()
-        to_run = []
-        for sub in subproblems:
-            prior = finished.get(sub.label)
-            if prior and prior.get("status") == STATUS_INFEASIBLE:
-                results.append((sub.priority, CompileResult(
-                    STATUS_INFEASIBLE,
-                    sub.device,
-                    message=prior.get("message", ""),
-                )))
-                tracer.count("checkpoint.arms_skipped")
-            else:
-                to_run.append(sub)
-
-    def record_arm(priority: int, result: CompileResult) -> None:
-        if manager is not None:
-            manager.record_arm_result(
-                label_of.get(priority, f"arm#{priority}"),
-                result.status,
-                result.message,
-            )
-
     with tracer.span(
         "portfolio", arms=len(subproblems), workers=workers
     ):
         if workers == 1:
             pending = _run_arms_inline(
-                spec, to_run, device, tracer, deadline, results, record_arm,
+                spec, subproblems, device, tracer, deadline, results
             )
         else:
             pending = _run_pooled(
-                spec, to_run, device, tracer, deadline, workers, results,
-                record_arm,
+                spec, subproblems, device, tracer, deadline, workers,
+                results,
             )
 
     result = select_result(subproblems, results, device, pending=pending)
-    if manager is not None:
-        if result.ok:
-            manager.mark_completed(program_fingerprint(result.program))
-        else:
-            manager.flush(force=True)
-            if result.status in (STATUS_TIMEOUT, STATUS_FAULT):
-                result.checkpoint_path = str(manager.path)
+    if options.checkpoint_dir and result.status in (
+        STATUS_TIMEOUT, STATUS_FAULT
+    ):
+        # Arms whose deadline expired before launch wrote nothing, so
+        # the root may not exist yet; the re-run passes it back.
+        root = Path(options.checkpoint_dir)
+        root.mkdir(parents=True, exist_ok=True)
+        result.checkpoint_path = str(root)
     return result

@@ -122,7 +122,9 @@ class CompileResult:
     # instead of a fresh synthesis run.
     cached: bool = False
     # For resumable failures (timeout/fault with checkpointing enabled):
-    # the checkpoint file that continues this compile.
+    # what continues this compile when passed back as checkpoint_dir —
+    # a single compile names <dir>/checkpoint.json, a portfolio names
+    # the root directory its arms checkpoint under.
     checkpoint_path: str = ""
     # Certifying compiles: where the equivalence certificate landed
     # (empty when certification was off or no cache_dir was configured).

@@ -20,13 +20,11 @@ ABLATION_BENCHMARKS = ["Sai V1", "Dash V1", "Large tran key"]
 CONFIGS: List[Tuple[str, Dict[str, bool]]] = [
     (
         "Other OPT",
-        {"opt4_constant_synthesis": False, "opt4_adjacent_concat": False,
-         "opt5_key_grouping": False},
+        {"opt4_constant_synthesis": False, "opt5_key_grouping": False},
     ),
     (
         "+ OPT5",
-        {"opt4_constant_synthesis": False, "opt4_adjacent_concat": False,
-         "opt5_key_grouping": True},
+        {"opt4_constant_synthesis": False, "opt5_key_grouping": True},
     ),
     ("+ OPT4, 5", {}),
 ]

@@ -1,17 +1,15 @@
 """Static analysis over parser specifications.
 
-These analyses feed the synthesis optimizations of §6:
+These analyses feed the synthesis pipeline of §5-§6:
 
-* key-bit usage per field            -> Opt1 (spec-guided key construction)
-* irrelevant fields                  -> Opt2 (bit-width minimization)
-* per-state extraction inventory     -> Opt3 (pre-allocated extraction)
-* constant pools and wide-constant
-  sub-ranges                         -> Opt4 (constant synthesis)
-* field-key grouping                 -> Opt5 (grouped key allocation)
-* loop detection                     -> Opt7.1 (loop-aware vs loop-free)
+* key-bit usage and irrelevant fields -> Opt2 (bit-width minimization)
+* loop detection                      -> Opt7.1 (loop-aware vs loop-free)
+* parse depth                         -> stage budgets, verifier depth
 
 They also provide general hygiene checks (reachability, extract-before-use)
-used by the frontend lint and by the rewrite mutators.
+used by the frontend lint and by the rewrite mutators.  The Opt1/Opt4/Opt5
+candidate pools are built by the skeleton itself
+(:mod:`repro.core.skeleton`).
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ from typing import Dict, List, Set, Tuple
 
 import networkx as nx
 
-from .spec import ACCEPT, REJECT, FieldKey, LookaheadKey, ParserSpec, SpecState
+from .spec import ACCEPT, REJECT, FieldKey, ParserSpec
 
 
 def build_state_graph(spec: ParserSpec) -> nx.DiGraph:
@@ -102,7 +100,7 @@ def max_parse_depth(spec: ParserSpec, loop_unroll: int = 4) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Key-bit usage (Opt1 / Opt2 / Opt5)
+# Key-bit usage (Opt2)
 # ---------------------------------------------------------------------------
 
 def key_bits_by_field(spec: ParserSpec) -> Dict[str, Set[int]]:
@@ -113,17 +111,6 @@ def key_bits_by_field(spec: ParserSpec) -> Dict[str, Set[int]]:
             if isinstance(part, FieldKey):
                 usage[part.field].update(range(part.lo, part.hi + 1))
     return usage
-
-
-def key_groups_by_field(spec: ParserSpec) -> Dict[str, List[Tuple[int, int]]]:
-    """Opt5: contiguous (lo, hi) groups of key bits per field, treating each
-    distinct slice appearing in the program as one indivisible group."""
-    groups: Dict[str, Set[Tuple[int, int]]] = {}
-    for state in spec.states.values():
-        for part in state.key:
-            if isinstance(part, FieldKey):
-                groups.setdefault(part.field, set()).add((part.lo, part.hi))
-    return {f: sorted(g) for f, g in groups.items()}
 
 
 def irrelevant_fields(spec: ParserSpec) -> Set[str]:
@@ -138,88 +125,6 @@ def irrelevant_fields(spec: ParserSpec) -> Set[str]:
         for name, bits in usage.items()
         if not bits and name not in length_sources
     }
-
-
-def max_lookahead(spec: ParserSpec) -> int:
-    """The furthest bit past the cursor any lookahead key reads."""
-    best = 0
-    for state in spec.states.values():
-        for part in state.key:
-            if isinstance(part, LookaheadKey):
-                best = max(best, part.offset + part.width)
-    return best
-
-
-# ---------------------------------------------------------------------------
-# Constant pools (Opt4)
-# ---------------------------------------------------------------------------
-
-def state_constants(state: SpecState) -> List[Tuple[int, int]]:
-    """The (value, mask) pairs appearing in a state's rules, folded over the
-    whole concatenated key (wildcards give mask 0)."""
-    widths = [k.width for k in state.key]
-    return [rule.combined_value_mask(widths) for rule in state.rules]
-
-
-def constant_pool(spec: ParserSpec) -> Dict[str, List[Tuple[int, int]]]:
-    """Per state: spec constants for Opt4.1's restricted value search."""
-    return {
-        name: state_constants(state) for name, state in spec.states.items()
-    }
-
-
-def adjacent_concat_constants(
-    spec: ParserSpec, limit: int = 64
-) -> Dict[Tuple[str, str], List[Tuple[int, int, int]]]:
-    """Opt4.1's recovery step: for each edge (s -> t) between keyed states,
-    concatenations of s's and t's rule constants as
-    (value, mask, combined_width) candidates."""
-    out: Dict[Tuple[str, str], List[Tuple[int, int, int]]] = {}
-    for state in spec.states.values():
-        if state.is_unconditional:
-            continue
-        for rule in state.rules:
-            succ = rule.next_state
-            if succ in (ACCEPT, REJECT) or succ not in spec.states:
-                continue
-            target = spec.states[succ]
-            if target.is_unconditional:
-                continue
-            pairs: List[Tuple[int, int, int]] = []
-            s_width = state.key_width
-            t_width = target.key_width
-            for sv, sm in state_constants(state):
-                for tv, tm in state_constants(target):
-                    pairs.append(
-                        (
-                            (sv << t_width) | tv,
-                            (sm << t_width) | tm,
-                            s_width + t_width,
-                        )
-                    )
-                    if len(pairs) >= limit:
-                        break
-                if len(pairs) >= limit:
-                    break
-            out[(state.name, succ)] = pairs
-    return out
-
-
-def split_wide_constant(value: int, width: int, key_limit: int) -> List[Tuple[int, int]]:
-    """Opt4.3: all sub-range constants C[i..j] with j - i < key_limit,
-    returned as (sub_value, sub_width).  Reduces the constant search space
-    from 2^KW to O(KW * len(C))."""
-    out: List[Tuple[int, int]] = []
-    seen: Set[Tuple[int, int]] = set()
-    for lo in range(width):
-        for hi in range(lo, min(lo + key_limit, width)):
-            sub_width = hi - lo + 1
-            sub_value = (value >> lo) & ((1 << sub_width) - 1)
-            item = (sub_value, sub_width)
-            if item not in seen:
-                seen.add(item)
-                out.append(item)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -258,25 +163,3 @@ def check_extract_before_use(spec: ParserSpec) -> List[str]:
             seen.add(p)
             unique.append(p)
     return unique
-
-
-def search_space_bits(spec: ParserSpec, device_key_limit: int = 32) -> int:
-    """A coarse size-of-search-space estimate in bits, mirroring the paper's
-    Table 3 'Search Space (bits)' column: symbolic constants (value+mask per
-    rule at key width) plus structural variables (next-state selection and
-    key allocation choices)."""
-    total = 0
-    num_states = max(1, len(spec.states))
-    import math
-
-    state_bits = max(1, math.ceil(math.log2(num_states + 2)))
-    for state in spec.states.values():
-        kw = min(state.key_width, device_key_limit) if state.key else 0
-        for _rule in state.rules:
-            total += 2 * kw          # value + mask
-            total += state_bits      # next-state choice
-        for part in state.key:
-            total += part.width      # allocation choice per key bit
-    for field in spec.fields.values():
-        total += 1                   # extraction placement freedom
-    return total

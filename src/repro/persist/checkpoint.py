@@ -18,9 +18,11 @@ restart cheaply:
   insertion order, plus each budget's ``pool_base`` — the pool size when
   that budget's run started.  A budget's solver state is a function of
   the pool prefix it seeded, so faithful replay needs the exact prefix
-  reconstructed, including entries that arrived from sibling arms;
-* the **portfolio manifest**: finished arms and their statuses, so a
-  resumed portfolio skips arms that already exhausted their search.
+  reconstructed.
+
+A portfolio keeps no file of its own: each arm checkpoints under
+:func:`arm_checkpoint_dir`, and an arm that retired every budget
+re-derives its infeasible verdict from its own ``retired`` list.
 
 Durability contract: every write goes through
 :mod:`repro.persist.atomic` (write-temp + fsync + rename, checksummed
@@ -77,18 +79,13 @@ def _budget_id(budget: BudgetKey) -> str:
     return f"{'-' if stage is None else stage}:{entries}"
 
 
-def _budget_from_id(budget_id: str) -> BudgetKey:
-    stage_s, entries_s = budget_id.split(":")
-    return (None if stage_s == "-" else int(stage_s), int(entries_s))
-
-
 class CheckpointManager:
     """One compile's durable state, bound to a ``compile_key``.
 
-    ``resume=False`` ignores any existing file (it is overwritten by the
-    first flush); ``resume=True`` adopts it *only* if its ``compile_key``
-    matches — a checkpoint for a different (spec, device, options) is
-    never mixed in (counted as ``persist.key_mismatch``).
+    An existing file is adopted *only* if its ``compile_key`` matches —
+    a checkpoint for a different (spec, device, options) is never mixed
+    in (counted as ``persist.key_mismatch``) and is overwritten by the
+    first flush.
     """
 
     def __init__(
@@ -96,7 +93,6 @@ class CheckpointManager:
         directory: Union[str, Path],
         compile_key: str,
         interval_seconds: float = 0.0,
-        resume: bool = False,
     ) -> None:
         self.directory = Path(directory)
         self.path = self.directory / CHECKPOINT_FILENAME
@@ -109,14 +105,8 @@ class CheckpointManager:
             key=compile_key, sleep=None
         )
         self._last_flush = 0.0
-        self.state: Dict[str, Any] = {
-            "compile_key": compile_key,
-            "completed": False,
-            "arms": {},
-            "portfolio": {},
-        }
-        if resume:
-            self._load()
+        self.state: Dict[str, Any] = {"compile_key": compile_key, "arms": {}}
+        self._load()
         # Materialize the file up front: a crash before the first
         # counterexample still leaves a resumable (if empty) checkpoint,
         # and failure results can name an existing path.
@@ -135,7 +125,6 @@ class CheckpointManager:
             return
         self.state = payload
         self.state.setdefault("arms", {})
-        self.state.setdefault("portfolio", {})
         self.resumed = True
         get_tracer().count("checkpoint.resumed")
 
@@ -264,27 +253,6 @@ class CheckpointManager:
         if not arm:
             return None
         return arm["slice_seconds"]
-
-    # -- portfolio manifest ------------------------------------------------
-    def record_arm_result(
-        self, label: str, status: str, message: str = ""
-    ) -> None:
-        self.state["portfolio"][label] = {
-            "status": status, "message": message,
-        }
-        self._dirty = True
-        self.flush()
-
-    def finished_arms(self) -> Dict[str, Dict[str, str]]:
-        return dict(self.state["portfolio"])
-
-    # -- completion --------------------------------------------------------
-    def mark_completed(self, program_fingerprint: str = "") -> None:
-        self.state["completed"] = True
-        if program_fingerprint:
-            self.state["program_fingerprint"] = program_fingerprint
-        self._dirty = True
-        self.flush(force=True)
 
     # -- flushing ----------------------------------------------------------
     def flush(self, force: bool = False) -> bool:

@@ -35,7 +35,7 @@ from ..ir.spec import FieldKey, LookaheadKey, ParserSpec
 
 # Bumped whenever a canonical document changes shape, so cache entries
 # and checkpoints written under the old shape miss cleanly.
-CANONICAL_VERSION = 5
+CANONICAL_VERSION = 6
 
 # CompileOptions fields that cannot change which program a *successful*
 # compile produces: execution-shape knobs and the persistence config.
@@ -46,7 +46,6 @@ NON_SEMANTIC_OPTIONS = frozenset(
         "parallel_workers",
         "total_max_seconds",
         "checkpoint_dir",
-        "resume",
         "checkpoint_interval_seconds",
         "cache_dir",
         "certify",

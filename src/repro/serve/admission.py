@@ -77,15 +77,21 @@ class AdmissionQueue:
         self._ewma_seconds = _DEFAULT_ESTIMATE_SECONDS
 
     # ------------------------------------------------------------------
-    def admit(self, tenant: str, *, primary: bool = True) -> None:
-        """Claim a slot for one job, or raise :class:`Rejected`."""
-        if self.tenant_live.get(tenant, 0) >= self.per_tenant:
+    def admit(
+        self, tenant: str, *, primary: bool = True, force: bool = False
+    ) -> None:
+        """Claim a slot for one job, or raise :class:`Rejected`.
+
+        ``force`` claims it past the quota and capacity checks: for work
+        accepted before a restart or a lease steal, which the journal
+        already promised to finish and capacity must not bounce now."""
+        if not force and self.tenant_live.get(tenant, 0) >= self.per_tenant:
             raise QuotaExceeded(
                 f"tenant {tenant!r} has {self.tenant_live[tenant]} live "
                 f"job(s), quota is {self.per_tenant}",
                 retry_after=self.retry_after(),
             )
-        if primary and self.primaries >= self.capacity:
+        if not force and primary and self.primaries >= self.capacity:
             raise QueueFull(
                 f"queue at capacity ({self.capacity} primary job(s))",
                 retry_after=self.retry_after(),

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Iterator, List, Optional, Tuple, Union
 
 from ..obs import get_tracer
 from ..resilience.injection import fault_point
@@ -219,9 +219,6 @@ class JobJournal:
             except Exception:
                 get_tracer().count("serve.journal_malformed")
 
-    def all_jobs(self) -> Dict[str, Job]:
-        return {job.job_id: job for job in self}
-
     def quarantined_count(self) -> int:
         """How many journal files have been quarantined as corrupt (a
         fleet health gauge)."""
@@ -254,7 +251,8 @@ class JobJournal:
         """Accepted-but-unfinished jobs, submission order (the restart
         re-adoption set).  Jobs found in state ``running`` were live
         when the previous server died; their per-key checkpoints make
-        re-running them cheap (``resume=True``)."""
+        re-running them cheap, because a compile always resumes a
+        matching checkpoint."""
         pending = [job for job in self if job.state not in TERMINAL_STATES]
         pending.sort(key=lambda j: (j.submitted_epoch, j.job_id))
         if pending:

@@ -11,11 +11,13 @@ process doesn't already own, checks the job's lease:
   increments the fencing token under the per-job mutex, so exactly one
   contending reaper wins) and hand the job to the adopt callback.
 
-The adopt callback (``CompileService.adopt``) re-journals the job under
+The adopt callback (``CompileService.adopt``) re-admits the job the way
+a restarted server re-admits its journal: it re-journals the job under
 the **new** token immediately — from that write on, anything the old
-owner tries is fenced — and enqueues it with ``resume=True`` so the
-per-key CEGIS checkpoint replays instead of restarting cold: reclaimed
-work continues, it doesn't start over.
+owner tries is fenced — and either finishes it from the cache or
+enqueues it.  The re-run compiles with the job's per-key checkpoint
+directory, so the recorded CEGIS progress replays instead of restarting
+cold: reclaimed work continues, it doesn't start over.
 
 ``min_token`` passed to acquire is ``journal token + 1``: even if the
 lease file itself was lost (quarantined, or the job predates the
@@ -24,7 +26,7 @@ fleet), fencing still advances strictly.
 
 from __future__ import annotations
 
-from typing import Callable, Container, List
+from typing import Callable, Container
 
 from ..obs import get_tracer
 from .job import TERMINAL_STATES, Job
@@ -69,17 +71,6 @@ class Reaper:
             self.adopt(job, taken)
             reclaimed += 1
         return reclaimed
-
-    def reclaimable(self, skip: Container[str] = ()) -> List[Job]:
-        """Dry-run listing (introspection / tests): jobs a sweep would
-        try to steal right now."""
-        return [
-            job
-            for job in self.journal
-            if job.state not in TERMINAL_STATES
-            and job.job_id not in skip
-            and self.leases.stealable(self.leases.peek(job.job_id))
-        ]
 
 
 __all__ = ["Reaper"]

@@ -37,8 +37,9 @@ Robustness properties, and where they live:
   consulted once more (another process may have finished the same key)
   and a hit is served marked ``degraded`` (``serve.stale_served``);
 * **crash safety** — every accepted job is journaled before its ack;
-  :meth:`recover` re-adopts non-terminal jobs on restart, resuming
-  their CEGIS checkpoints (``resume=True`` + per-key checkpoint dirs);
+  :meth:`recover` re-adopts non-terminal jobs on restart, and each
+  attempt compiles with its key's checkpoint directory, so a re-run
+  resumes the recorded CEGIS progress;
 * **fleet mode** (``owner_id`` set) — N service processes share one
   root, coordinated by per-job leases (:mod:`repro.serve.lease`): every
   locally-owned job's lease is heartbeaten by a dedicated thread, every
@@ -281,12 +282,10 @@ class CompileService:
     def adopt(self, job: Job, lease: Lease) -> None:
         """Take over a reclaimed job under a freshly-stolen lease.
 
-        Re-journals the job under the new fencing token *immediately* —
-        from that write on, the previous owner's writes are rejected —
-        then enqueues it like recovered work (admission force-set; an
-        already-cached answer finishes it on the spot).  The per-key
-        checkpoint makes the re-run warm: recorded CEGIS progress
-        replays instead of restarting cold.
+        Re-admits it like restart-recovered work (:meth:`_readopt_locked`)
+        under the new fencing token: the re-admission's journal write
+        lands that token, and from then on the previous owner's writes
+        are rejected.
         """
         with self._capture("serve.adopt"), self._lock:
             if job.job_id in self._jobs:
@@ -294,39 +293,7 @@ class CompileService:
                 return
             job.lease_owner = lease.owner_id
             job.lease_token = lease.token
-            job.coalesced_into = None
-            job.state = JOB_QUEUED
-            if self._serve_from_cache(job):
-                self.journal.transition(job)
-                self._jobs[job.job_id] = job
-                event = self._events.setdefault(
-                    job.job_id, threading.Event()
-                )
-                event.set()
-                self._count("serve.reclaim_cache_hits")
-                self.leases.release(lease)
-                return
-            self._held[job.job_id] = lease
-            self._jobs[job.job_id] = job
-            self._events.setdefault(job.job_id, threading.Event())
-            primary_id = self._inflight.get(job.compile_key)
-            if primary_id is None:
-                self._inflight[job.compile_key] = job.job_id
-                self._queue.append(job.job_id)
-                self.admission.primaries += 1
-            else:
-                job.coalesced_into = primary_id
-                self._waiters.setdefault(primary_id, []).append(
-                    job.job_id
-                )
-                self._count("serve.coalesced")
-            self.admission.tenant_live[job.tenant] = (
-                self.admission.tenant_live.get(job.tenant, 0) + 1
-            )
-            # The load-bearing write: the new token lands in the
-            # journal, fencing out the old owner from here on.
-            self.journal.transition(job)
-            self._wakeup.notify_all()
+            self._readopt_locked(job, lease)
 
     def _on_lease_lost(self, job_id: str) -> None:
         """Our lease was stolen (we were paused/slow past the TTL).
@@ -408,38 +375,39 @@ class CompileService:
     def recover(self) -> int:
         """Re-adopt every accepted-but-unfinished job from the journal.
 
-        Jobs are grouped by ``compile_key``: the oldest becomes (or
-        stays) the primary, the rest re-coalesce behind it.  Admission
-        counters are force-set — this work was *already* accepted, so
-        capacity cannot bounce it now.
+        Jobs come back in submission order, so per ``compile_key`` the
+        oldest becomes (or stays) the primary and the rest re-coalesce
+        behind it (:meth:`_readopt_locked`).
         """
         with self._capture("serve.recover"), self._lock:
             pending = self.journal.recover()
             for job in pending:
-                if job.job_id in self._jobs:
-                    continue
-                job.coalesced_into = None        # re-derived below
-                if job.state != JOB_QUEUED:
-                    job.state = JOB_QUEUED
-                self._jobs[job.job_id] = job
-                self._events.setdefault(job.job_id, threading.Event())
-                primary_id = self._inflight.get(job.compile_key)
-                if primary_id is None:
-                    self._inflight[job.compile_key] = job.job_id
-                    self._queue.append(job.job_id)
-                    self.admission.primaries += 1
-                else:
-                    job.coalesced_into = primary_id
-                    self._waiters.setdefault(primary_id, []).append(
-                        job.job_id
-                    )
-                    self._count("serve.coalesced")
-                self.admission.tenant_live[job.tenant] = (
-                    self.admission.tenant_live.get(job.tenant, 0) + 1
-                )
-                self.journal.transition(job)
-            self._wakeup.notify_all()
+                if job.job_id not in self._jobs:
+                    self._readopt_locked(job)
         return len(pending)
+
+    def _readopt_locked(self, job: Job, lease: Optional[Lease] = None) -> None:
+        """Re-admit an already-accepted job (restart or reclaim), under
+        the service lock.
+
+        An answer already in the cache finishes the job on the spot
+        (``serve.reclaim_cache_hits``), with no compile.  Otherwise the
+        job is enqueued past admission's checks — it was accepted before,
+        so capacity cannot bounce it now — and the journal write records
+        its new state, and under a stolen ``lease`` its new token.
+        """
+        job.coalesced_into = None
+        doc = self._cached_doc(job)
+        if doc is None:
+            job.state = JOB_QUEUED
+            self._enqueue_locked(
+                job, self.journal.transition, lease, force=True
+            )
+        else:
+            self._done_from_cache_locked(
+                job, doc, self.journal.transition, lease
+            )
+            self._count("serve.reclaim_cache_hits")
 
     # -- submission ----------------------------------------------------
     def submit(
@@ -511,64 +479,92 @@ class CompileService:
                 )
             # Cache fast-path: an already-known answer is terminal at
             # admission and never consumes a compile slot.
-            if self._serve_from_cache(job):
-                try:
-                    self.journal.record(job)   # accepted *and* terminal
-                except JournalWriteError as exc:
-                    # Same contract as the queue path below: a journal
-                    # outage is a *transient* rejection, never a
-                    # permanent one — the client must retry.
-                    raise Rejected(
-                        f"journal unavailable: {exc}",
-                        retry_after=self.admission.retry_after(),
-                    ) from exc
-                self._events[job.job_id] = threading.Event()
-                self._events[job.job_id].set()
-                self._jobs[job.job_id] = job
-                self.breaker.record_success(key)   # a served answer
-                self._count("serve.cache_hits")
-                if lease is not None and self.leases is not None:
-                    self.leases.release(lease)     # terminal: nothing to own
-                return job
-            primary_id = self._inflight.get(job.compile_key)
-            coalesced = primary_id is not None
-            self.admission.admit(job.tenant, primary=not coalesced)
+            doc = self._cached_doc(job)
             try:
-                if coalesced:
-                    job.coalesced_into = primary_id
-                self.journal.record(job)       # accepted => durable
+                if doc is not None:     # accepted *and* terminal
+                    self._done_from_cache_locked(
+                        job, doc, self.journal.record, lease
+                    )
+                else:                   # accepted => durable
+                    self._enqueue_locked(job, self.journal.record, lease)
             except JournalWriteError as exc:
-                self.admission.release(job.tenant, primary=not coalesced)
+                # A journal outage is a *transient* rejection, never a
+                # permanent one — the client must retry.
                 raise Rejected(
                     f"journal unavailable: {exc}",
                     retry_after=self.admission.retry_after(),
                 ) from exc
-            if lease is not None:
-                self._held[job.job_id] = lease
-            self._jobs[job.job_id] = job
-            self._events[job.job_id] = threading.Event()
-            if coalesced:
-                self._waiters.setdefault(primary_id, []).append(job.job_id)
-                self._count("serve.coalesced")
-            else:
-                self._inflight[job.compile_key] = job.job_id
-                self._queue.append(job.job_id)
+            if doc is not None:
+                self.breaker.record_success(key)   # a served answer
+                self._count("serve.cache_hits")
+            elif job.coalesced_into is None:
                 self._count("serve.accepted")
-                self._wakeup.notify()
         return job
 
-    def _serve_from_cache(self, job: Job) -> bool:
-        """Terminal-ize ``job`` from the compile cache; True on a hit.
-        Called under the service lock."""
-        if self.cache is None:
-            return False
-        result = self.cache.lookup(job.compile_key, job.build_device())
-        if result is None:
-            return False
+    def _enqueue_locked(
+        self,
+        job: Job,
+        write: Callable[[Job], Any],
+        lease: Optional[Lease],
+        *,
+        force: bool = False,
+    ) -> None:
+        """Claim ``job``'s admission slots, journal it with ``write``,
+        and link it in, holding ``lease``, under the service lock: the
+        first live job of a ``compile_key`` becomes its primary and is
+        queued, later ones coalesce behind it.  A refused admission
+        raises before anything is written; a failed write returns the
+        slots and links nothing.
+        """
+        primary_id = self._inflight.get(job.compile_key)
+        primary = primary_id is None
+        self.admission.admit(job.tenant, primary=primary, force=force)
+        job.coalesced_into = primary_id
+        try:
+            write(job)
+        except BaseException:
+            self.admission.release(job.tenant, primary=primary)
+            raise
+        self._jobs[job.job_id] = job
+        self._events[job.job_id] = threading.Event()
+        if lease is not None:
+            self._held[job.job_id] = lease
+        if primary:
+            self._inflight[job.compile_key] = job.job_id
+            self._queue.append(job.job_id)
+            self._wakeup.notify()
+        else:
+            self._waiters.setdefault(primary_id, []).append(job.job_id)
+            self._count("serve.coalesced")
+
+    def _done_from_cache_locked(
+        self,
+        job: Job,
+        doc: Dict[str, Any],
+        write: Callable[[Job], Any],
+        lease: Optional[Lease],
+    ) -> None:
+        """Complete ``job`` with the cached answer ``doc`` at
+        (re-)admission, under the service lock: ``write`` journals it
+        terminal, and it claims no slot and keeps no lease."""
         job.state = JOB_DONE
-        job.result_doc = result_to_doc(result)
+        job.result_doc = doc
         job.finished_epoch = time.time()
-        return True
+        write(job)
+        self._jobs[job.job_id] = job
+        self._events[job.job_id] = threading.Event()
+        self._events[job.job_id].set()
+        if lease is not None:
+            self.leases.release(lease)             # terminal: nothing to own
+
+    def _cached_doc(self, job: Job) -> Optional[Dict[str, Any]]:
+        """The cached answer for ``job``'s compile key as a result
+        document, or None (no cache, or a miss).  A pure query: the
+        caller decides how the job completes."""
+        if self.cache is None:
+            return None
+        result = self.cache.lookup(job.compile_key, job.build_device())
+        return None if result is None else result_to_doc(result)
 
     # -- introspection -------------------------------------------------
     def status(self, job_id: str) -> Optional[Job]:
@@ -706,11 +702,12 @@ class CompileService:
             if self._retry(job, None):
                 continue
             self._record_outcome(job, success=False)
-            job.result_doc = result_to_doc(result)
-            self._finish(
-                job, JOB_FAILED, failure_kind="fault",
-                message=result.message,
-            )
+            if not job.terminal:        # else _degrade served the cache
+                job.result_doc = result_to_doc(result)
+                self._finish(
+                    job, JOB_FAILED, failure_kind="fault",
+                    message=result.message,
+                )
             return
 
     def _attempt(self, job: Job, remaining: Optional[float]):
@@ -719,7 +716,6 @@ class CompileService:
         overrides: Dict[str, Any] = {
             "cache_dir": str(self.cache.directory) if self.cache else None,
             "checkpoint_dir": str(self.checkpoint_dir_for(job.compile_key)),
-            "resume": True,
         }
         requested = job.options.get("total_max_seconds")
         if remaining is not None:
@@ -734,12 +730,13 @@ class CompileService:
         return compiler.compile(job.build_spec(), job.build_device())
 
     def _retry(self, job: Job, exc: Optional[BaseException]) -> bool:
-        """Decide (and pace) a transient-failure retry; True = go again."""
+        """Decide (and pace) a transient-failure retry; True = go again.
+        Once retries are exhausted, :meth:`_degrade` may complete the
+        job from the cache before this returns False."""
         self._count("serve.transient_failures")
         if job.attempts >= self.retry_policy.max_attempts:
             self._count("serve.retries_exhausted")
-            if self._degrade(job):
-                return False
+            self._degrade(job)
             return False
         remaining = job.remaining_seconds()
         delay = self.retry_policy.delay(job.attempts, key=job.job_id)
@@ -752,16 +749,18 @@ class CompileService:
         self._sleep(delay)
         return True
 
-    def _degrade(self, job: Job) -> bool:
+    def _degrade(self, job: Job) -> None:
         """Last-resort cache consult after exhausted retries (another
-        process may have completed the same key); True when served."""
+        process may have completed the same key): a hit completes the
+        job ``done`` and marked ``degraded``."""
         with self._lock:
-            hit = self._serve_from_cache(job)
-        if hit:
-            job.degraded = True
-            self._count("serve.stale_served")
-            self._finish(job, JOB_DONE)
-        return hit
+            doc = self._cached_doc(job)
+        if doc is None:
+            return
+        job.result_doc = doc
+        job.degraded = True
+        self._count("serve.stale_served")
+        self._finish(job, JOB_DONE)
 
     def _record_outcome(self, job: Job, *, success: bool) -> None:
         key = (job.tenant, job.compile_key)

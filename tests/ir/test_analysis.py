@@ -6,19 +6,13 @@ import pytest
 
 from repro.ir import parse_spec
 from repro.ir.analysis import (
-    adjacent_concat_constants,
     check_extract_before_use,
-    constant_pool,
     has_loops,
     irrelevant_fields,
     key_bits_by_field,
-    key_groups_by_field,
     looping_states,
-    max_lookahead,
     max_parse_depth,
     reachable_states,
-    search_space_bits,
-    split_wide_constant,
     unreachable_states,
 )
 
@@ -114,10 +108,6 @@ class TestKeyUsage:
         assert usage["ip.proto"] == {0, 1, 2, 3}
         assert usage["eth.dst"] == set()
 
-    def test_key_groups(self, spec):
-        groups = key_groups_by_field(spec)
-        assert groups["eth.etherType"] == [(1, 3)]
-
     def test_irrelevant_fields(self, spec):
         irr = irrelevant_fields(spec)
         assert "eth.dst" in irr and "ip.ver" in irr
@@ -138,30 +128,6 @@ class TestKeyUsage:
         )
         assert "h.n" not in irrelevant_fields(spec)
 
-    def test_max_lookahead(self, spec):
-        assert max_lookahead(spec) == 3
-
-
-class TestConstants:
-    def test_constant_pool(self, spec):
-        pool = constant_pool(spec)
-        assert (0b100, 0b111) in pool["start"]
-        assert (0, 0) in pool["start"]  # the default arm
-
-    def test_adjacent_concat(self, spec):
-        concat = adjacent_concat_constants(spec)
-        assert ("start", "parse_ip") in concat
-        pairs = concat[("start", "parse_ip")]
-        # start constant 0b100 concatenated with parse_ip constant (6,1).
-        assert any(w == 3 + 7 for _v, _m, w in pairs)
-
-    def test_split_wide_constant(self):
-        subs = split_wide_constant(0b1010, 4, 2)
-        assert (0b10, 2) in subs
-        assert all(w <= 2 for _v, w in subs)
-        # Quadratic, not exponential: bounded count.
-        assert len(subs) <= 4 * 2 + 4
-
 
 class TestLints:
     def test_extract_before_use_clean(self, spec):
@@ -181,6 +147,3 @@ class TestLints:
         )
         problems = check_extract_before_use(bad)
         assert problems and "h.b" in problems[0]
-
-    def test_search_space_positive(self, spec):
-        assert search_space_bits(spec) > 0

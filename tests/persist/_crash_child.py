@@ -7,7 +7,9 @@ arms an injected per-solve delay so the parent has a comfortable window
 to SIGKILL the process mid-CEGIS; the delay changes wall-clock only,
 never the search itself.
 
-Run as:  python -m tests.persist._crash_child <ckpt-dir|-> [--slow] [--resume]
+A second run with the same checkpoint directory resumes the first.
+
+Run as:  python -m tests.persist._crash_child <ckpt-dir|-> [--slow]
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ def main() -> int:
     args = sys.argv[1:]
     ckpt_dir = args[0] if args and args[0] != "-" else None
     slow = "--slow" in args
-    resume = "--resume" in args
 
     from repro.benchgen import all_base_specs
     from repro.core import CompileOptions, compile_spec
@@ -40,7 +41,6 @@ def main() -> int:
         directed_seed_tests=False,
         seed=3,
         checkpoint_dir=ckpt_dir,
-        resume=resume,
     )
     result = compile_spec(spec, device, options)
     print(json.dumps({

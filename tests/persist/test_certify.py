@@ -210,9 +210,7 @@ class TestProofBundles:
         options = CompileOptions(certify=True, checkpoint_dir=str(ckpt))
         result = compile_spec(spec, device, options)
         assert result.ok and result.stats.budgets_retired > 0
-        manager = CheckpointManager(
-            ckpt, compile_key(spec, device, options), resume=True
-        )
+        manager = CheckpointManager(ckpt, compile_key(spec, device, options))
         refs = {}
         for arm_key in manager.state["arms"]:
             refs.update(manager.proof_refs(arm_key))

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import json
-
 from repro.ir import Bits
 from repro.obs import Tracer, use_tracer
 from repro.persist import CheckpointManager, arm_checkpoint_dir, flush_active
@@ -28,7 +26,7 @@ class TestStateRoundTrip:
         inputs = [Bits(0b101, 3), Bits(0, 1), Bits(0xFF, 8)]
         for bits in inputs:
             manager.record_counterexample(ARM, BUDGET, bits)
-        resumed = CheckpointManager(tmp_path, KEY, resume=True)
+        resumed = CheckpointManager(tmp_path, KEY)
         assert resumed.resumed
         assert resumed.replay_for(ARM, BUDGET) == inputs
         # Budgets and arms are separate pools.
@@ -42,29 +40,11 @@ class TestStateRoundTrip:
         manager.record_retired(ARM, STAGED)       # idempotent
         manager.record_slice(ARM, 40.0)
         manager.flush(force=True)
-        resumed = CheckpointManager(tmp_path, KEY, resume=True)
+        resumed = CheckpointManager(tmp_path, KEY)
         assert resumed.retired_budgets(ARM) == {BUDGET, STAGED}
         assert resumed.resume_slice(ARM) == 40.0
         assert resumed.retired_budgets("other") == set()
         assert resumed.resume_slice("other") is None
-
-    def test_portfolio_manifest(self, tmp_path):
-        manager = CheckpointManager(tmp_path, KEY)
-        manager.record_arm_result("key<=8,loop-free", "infeasible", "nope")
-        manager.record_arm_result("key<=8,loop-aware", "ok")
-        resumed = CheckpointManager(tmp_path, KEY, resume=True)
-        arms = resumed.finished_arms()
-        assert arms["key<=8,loop-free"] == {
-            "status": "infeasible", "message": "nope",
-        }
-        assert arms["key<=8,loop-aware"]["status"] == "ok"
-
-    def test_mark_completed(self, tmp_path):
-        manager = CheckpointManager(tmp_path, KEY)
-        manager.mark_completed("f" * 64)
-        doc = json.loads(manager.path.read_text())
-        assert doc["payload"]["completed"] is True
-        assert doc["payload"]["program_fingerprint"] == "f" * 64
 
 
 class TestResumeGuards:
@@ -73,22 +53,16 @@ class TestResumeGuards:
         old.record_counterexample(ARM, BUDGET, Bits(1, 1))
         tracer = Tracer()
         with use_tracer(tracer):
-            other = CheckpointManager(tmp_path, "b" * 64, resume=True)
+            other = CheckpointManager(tmp_path, "b" * 64)
         assert not other.resumed
         assert other.replay_for(ARM, BUDGET) == []
         assert tracer.registry.get("persist.key_mismatch") == 1
-
-    def test_no_resume_flag_overwrites(self, tmp_path):
-        old = CheckpointManager(tmp_path, KEY)
-        old.record_counterexample(ARM, BUDGET, Bits(1, 1))
-        fresh = CheckpointManager(tmp_path, KEY, resume=False)
-        assert fresh.replay_for(ARM, BUDGET) == []
 
     def test_corrupt_checkpoint_means_cold_start(self, tmp_path):
         old = CheckpointManager(tmp_path, KEY)
         old.record_counterexample(ARM, BUDGET, Bits(1, 1))
         old.path.write_text(old.path.read_text()[:-40])
-        resumed = CheckpointManager(tmp_path, KEY, resume=True)
+        resumed = CheckpointManager(tmp_path, KEY)
         assert not resumed.resumed
         assert resumed.replay_for(ARM, BUDGET) == []
         assert any(
@@ -125,7 +99,7 @@ class TestDegradation:
         manager = CheckpointManager(tmp_path, KEY)
         manager.record_retired(ARM, BUDGET)        # dirty
         assert flush_active() >= 1
-        resumed = CheckpointManager(tmp_path, KEY, resume=True)
+        resumed = CheckpointManager(tmp_path, KEY)
         assert resumed.retired_budgets(ARM) == {BUDGET}
 
 
@@ -148,7 +122,7 @@ class TestPoolPersistence:
         manager.record_pool_entry(ARM, 5, 3, "seed")
         manager.record_pool_entry(ARM, 0, 1, "cex")
         manager.record_pool_entry(ARM, 0xFF, 8, "shared")
-        resumed = CheckpointManager(tmp_path, KEY, resume=True)
+        resumed = CheckpointManager(tmp_path, KEY)
         assert resumed.pool_entries(ARM) == [
             (5, 3, "seed"), (0, 1, "cex"), (0xFF, 8, "shared"),
         ]
@@ -164,7 +138,7 @@ class TestPoolPersistence:
         manager.begin_attempt(ARM, BUDGET, 4)
         manager.record_counterexample(ARM, BUDGET, Bits(3, 2))
         manager.flush(force=True)
-        resumed = CheckpointManager(tmp_path, KEY, resume=True)
+        resumed = CheckpointManager(tmp_path, KEY)
         assert resumed.pool_base(ARM, BUDGET) == 4
         assert resumed.replay_for(ARM, BUDGET) == [Bits(3, 2)]
         assert resumed.pool_base(ARM, STAGED) is None
@@ -178,6 +152,6 @@ class TestPoolPersistence:
         manager.record_counterexample(ARM, BUDGET, Bits(1, 2))
         manager.record_counterexample(ARM, BUDGET, Bits(3, 2))
         manager.flush(force=True)
-        resumed = CheckpointManager(tmp_path, KEY, resume=True)
+        resumed = CheckpointManager(tmp_path, KEY)
         assert resumed.pool_base(ARM, BUDGET) == 2
         assert resumed.replay_for(ARM, BUDGET) == [Bits(1, 2), Bits(3, 2)]

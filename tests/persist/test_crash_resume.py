@@ -86,7 +86,7 @@ class TestInProcessResume:
             resumed = compile_spec(
                 icmp_spec,
                 full_device,
-                BASE.with_(checkpoint_dir=ckpt, resume=True),
+                BASE.with_(checkpoint_dir=ckpt),
             )
         assert resumed.ok
         assert program_fingerprint(resumed.program) == cold_fp
@@ -125,11 +125,11 @@ class TestInProcessResume:
         first = compile_spec(spec, device, opts)
         assert first.ok
         retired_first = first.stats.budgets_retired
-        # Force a fresh search of the same problem with resume: every
-        # budget the first run proved UNSAT is skipped outright.
+        # A fresh search of the same problem resumes the checkpoint:
+        # every budget the first run proved UNSAT is skipped outright.
         tracer = Tracer()
         with use_tracer(tracer):
-            again = compile_spec(spec, device, opts.with_(resume=True))
+            again = compile_spec(spec, device, opts)
         assert again.ok
         if retired_first:
             assert tracer.registry.get("checkpoint.budgets_skipped") >= 1
@@ -151,7 +151,7 @@ class TestDamagedCheckpoints:
         result = compile_spec(
             icmp_spec,
             full_device,
-            BASE.with_(checkpoint_dir=str(ckpt), resume=True),
+            BASE.with_(checkpoint_dir=str(ckpt)),
         )
         assert result.ok
         assert result.stats.cegis_replayed == 0
@@ -173,7 +173,7 @@ class TestDamagedCheckpoints:
             result = compile_spec(
                 icmp_spec,
                 full_device,
-                BASE.with_(checkpoint_dir=ckpt, resume=True),
+                BASE.with_(checkpoint_dir=ckpt),
             )
         finally:
             injection.clear()
@@ -271,7 +271,7 @@ class TestSigkillResume:
             child.wait(timeout=30)
         assert child.returncode == -signal.SIGKILL
 
-        resumed = self._run_child(ckpt, "--resume")
+        resumed = self._run_child(ckpt)
         assert resumed["status"] == "ok"
         assert resumed["fingerprint"] == cold["fingerprint"]
         assert resumed["replayed"] >= recorded
@@ -328,7 +328,7 @@ class TestResumeWithPool:
         tracer = Tracer()
         with use_tracer(tracer):
             resumed = compile_spec(
-                spec, full_device, BASE.with_(checkpoint_dir=ckpt, resume=True)
+                spec, full_device, BASE.with_(checkpoint_dir=ckpt)
             )
         assert resumed.ok
         assert program_fingerprint(resumed.program) == (

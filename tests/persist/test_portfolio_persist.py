@@ -1,17 +1,33 @@
-"""Portfolio-level persistence: per-arm checkpoints under a supervisor
-manifest, resume skipping definitively-failed arms, and resumable
-portfolio failures."""
+"""Portfolio-level persistence: every arm checkpoints under its own
+``<root>/arms/<slug>/`` directory and resumes from that file alone, and
+a resumable portfolio failure names the root directory."""
 
 from __future__ import annotations
 
-import json
 import os
 
 from repro.core import CompileOptions
 from repro.core.parallel import derive_subproblems, portfolio_compile
 from repro.core.result import STATUS_INFEASIBLE, STATUS_TIMEOUT
+from repro.ir import parse_spec
 from repro.obs import Tracer, use_tracer
-from repro.persist import CheckpointManager, compile_key
+from repro.persist import arm_checkpoint_dir
+from repro.persist.checkpoint import CHECKPOINT_FILENAME
+
+# {1, 2} share a destination but no ternary cube, so start needs three
+# entries while the destination-count lower bound claims two: with no
+# entries allowed past the lower bound, every arm proves each of its
+# budgets UNSAT.
+NEEDS_THREE_ENTRIES = """
+header h { a : 4; x : 2; }
+parser P {
+    state start {
+        extract(h.a);
+        transition select(h.a) { 1 : s1; 2 : s1; default : accept; }
+    }
+    state s1 { extract(h.x); transition accept; }
+}
+"""
 
 
 def _options(**kw):
@@ -19,74 +35,55 @@ def _options(**kw):
 
 
 class TestPortfolioCheckpoint:
-    def test_manifest_records_arms_and_completion(
-        self, tmp_path, spec, device
-    ):
-        ckpt = str(tmp_path / "ckpt")
-        result = portfolio_compile(
-            spec, device, _options(checkpoint_dir=ckpt)
-        )
+    def test_arms_checkpoint_in_own_dirs(self, tmp_path, spec, device):
+        ckpt = tmp_path / "ckpt"
+        options = _options(checkpoint_dir=str(ckpt))
+        result = portfolio_compile(spec, device, options)
         assert result.ok
-        doc = json.loads(open(os.path.join(ckpt, "checkpoint.json")).read())
-        payload = doc["payload"]
-        assert payload["completed"] is True
-        assert payload["portfolio"]           # at least the winning arm
+        assert os.listdir(ckpt) == ["arms"]
+        arm_dirs = {
+            arm_checkpoint_dir(ckpt, sub.label)
+            for sub in derive_subproblems(spec, device, options)
+        }
+        written = {path.parent for path in ckpt.rglob("*.json")}
+        # At least the winning arm checkpointed, each arm in its own slug.
+        assert written and written <= arm_dirs
         assert all(
-            entry["status"] == "ok" or entry["message"] is not None
-            for entry in payload["portfolio"].values()
+            (path / CHECKPOINT_FILENAME).exists() for path in written
         )
-        # The winning arm checkpointed under its own slug directory.
-        assert os.path.isdir(os.path.join(ckpt, "arms"))
-        assert os.listdir(os.path.join(ckpt, "arms"))
 
-    def test_resume_skips_arms_proved_infeasible(
-        self, tmp_path, spec, device
-    ):
-        ckpt = str(tmp_path / "ckpt")
-        options = _options(checkpoint_dir=ckpt)
-        subproblems = derive_subproblems(spec, device, options)
-        assert len(subproblems) >= 2
-        # A previous (killed) portfolio proved the best-priority arm
-        # infeasible; fabricate its manifest entry.
-        manager = CheckpointManager(
-            ckpt, compile_key(spec, device, options)
+    def test_resume_rederives_infeasible_arms(self, tmp_path, device):
+        spec = parse_spec(NEEDS_THREE_ENTRIES)
+        options = _options(
+            checkpoint_dir=str(tmp_path / "ckpt"), max_extra_entries=0
         )
-        first = min(subproblems, key=lambda s: s.priority)
-        manager.record_arm_result(
-            first.label, STATUS_INFEASIBLE, "proved unsat earlier"
+        assert len(derive_subproblems(spec, device, options)) >= 2
+        counters = []
+        for _run in range(2):
+            tracer = Tracer()
+            with use_tracer(tracer):
+                result = portfolio_compile(spec, device, options)
+            assert result.status == STATUS_INFEASIBLE
+            counters.append(tracer.registry)
+        first, again = counters
+        assert first.get("budget.retired") >= 2
+        # The re-run skips every budget the first run retired, so no arm
+        # attempts a budget or builds a skeleton.
+        assert again.get("checkpoint.budgets_skipped") == first.get(
+            "budget.retired"
         )
-        del manager
-
-        tracer = Tracer()
-        with use_tracer(tracer):
-            result = portfolio_compile(
-                spec, device, options.with_(resume=True)
-            )
-        assert result.ok                      # another arm still wins
-        assert tracer.registry.get("checkpoint.arms_skipped") == 1
-
-        # The skipped arm was never raced again.
-        def spans(node):
-            yield node
-            for child in node.children:
-                yield from spans(child)
-
-        arm_labels = [
-            s.attrs.get("label")
-            for s in spans(tracer.root)
-            if s.name == "portfolio.arm"
-        ]
-        assert first.label not in arm_labels
+        assert again.get("budget.attempts") == 0
 
     def test_portfolio_timeout_names_checkpoint(
         self, tmp_path, spec, device
     ):
-        ckpt = str(tmp_path / "ckpt")
+        ckpt = tmp_path / "ckpt"
         result = portfolio_compile(
             spec,
             device,
-            _options(checkpoint_dir=ckpt, total_max_seconds=1e-9),
+            _options(checkpoint_dir=str(ckpt), total_max_seconds=1e-9),
         )
         assert result.status == STATUS_TIMEOUT
-        assert result.checkpoint_path.endswith("checkpoint.json")
-        assert os.path.exists(result.checkpoint_path)
+        # The root directory is what a re-run passes back.
+        assert result.checkpoint_path == str(ckpt)
+        assert os.path.isdir(result.checkpoint_path)

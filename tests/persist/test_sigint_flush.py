@@ -70,10 +70,10 @@ def test_sigint_mid_cegis_flushes_resumable_checkpoint(tmp_path):
             child.kill()
             child.wait(timeout=30)
 
-    # The PR-3 contract: conventional SIGINT status + a --resume hint.
+    # The PR-3 contract: conventional SIGINT status + a re-run hint.
     assert child.returncode == 130, err
     assert "interrupted" in err
-    assert "--resume" in err
+    assert "re-run the same command" in err
 
     # flush_active() provably ran: the only earlier write was the empty
     # constructor flush, yet the file now holds live per-arm state.
@@ -98,7 +98,6 @@ def test_sigint_mid_cegis_flushes_resumable_checkpoint(tmp_path):
             str(spec_path),
             "--checkpoint-dir",
             str(ckpt),
-            "--resume",
             "--seed",
             "3",
         ],

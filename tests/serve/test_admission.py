@@ -59,6 +59,27 @@ class TestQuota:
         assert q.tenant_live == {"t": 1}
 
 
+class TestForcedAdmission:
+    def test_force_claims_past_capacity_and_quota(self):
+        """Already-accepted work (restart, reclaim) is never bounced."""
+        q = AdmissionQueue(capacity=1, per_tenant=1)
+        q.admit("t")
+        with pytest.raises(QueueFull):
+            q.admit("u")
+        with pytest.raises(QuotaExceeded):
+            q.admit("t", primary=False)
+        q.admit("t", force=True)
+        q.admit("t", primary=False, force=True)
+        assert q.primaries == 2
+        assert q.tenant_live == {"t": 3}
+        # Forced slots are returned like any other.
+        q.release("t")
+        q.release("t", primary=False)
+        q.release("t")
+        assert q.primaries == 0
+        assert q.tenant_live == {}
+
+
 class TestRetryAfter:
     def test_scales_with_depth_over_workers(self):
         q = AdmissionQueue(capacity=100, per_tenant=100, workers=2)

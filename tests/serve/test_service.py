@@ -185,11 +185,18 @@ class TestRetry:
         injection.inject("serve.worker", WorkerCrash, times=None)
         svc.start()
         try:
-            done = svc.wait(job.job_id, timeout=WAIT)
+            done = svc.wait(job.job_id, timeout=30.0)
         finally:
             svc.shutdown()
         assert done.state == JOB_DONE
         assert done.degraded
+        # The stale answer completes the job's bookkeeping: it is
+        # journaled, its slots are returned and it counts as done.
+        journaled = svc.journal.load(job.job_id)
+        assert journaled.state == JOB_DONE and journaled.degraded
+        assert svc.admission.primaries == 0
+        assert svc.admission.tenant_live == {}
+        assert svc.registry.get("serve.jobs_done") == 1
 
 
 class TestAdmission:
@@ -372,3 +379,30 @@ class TestRecovery:
         assert all(job.terminal for job in journal)
         # The coalesced pair still shared one compile after recovery.
         assert second.registry.get("serve.compile_launched") == 2
+
+    def test_restart_finishes_a_cached_job_without_compiling(
+        self, tmp_path, spec_source, device
+    ):
+        first = make_service(tmp_path)
+        job = first.submit(spec_source, device)
+        del first                                    # no shutdown: SIGKILL
+        # Before the restart, a direct compile stores the answer in the
+        # service's cache.
+        direct = compile_spec(
+            parse_spec(spec_source),
+            device,
+            CompileOptions(cache_dir=str(tmp_path / "svc" / "cache")),
+        )
+        assert direct.ok
+
+        second = make_service(tmp_path)
+        assert second.start() == 1
+        try:
+            done = second.wait(job.job_id, timeout=WAIT)
+        finally:
+            second.shutdown()
+        assert done.state == JOB_DONE
+        journal = JobJournal(tmp_path / "svc" / "journal")
+        assert journal.load(job.job_id).state == JOB_DONE
+        assert second.registry.get("serve.compile_launched") == 0
+        assert second.admission.primaries == 0

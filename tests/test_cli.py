@@ -180,7 +180,8 @@ class TestPersistenceFlags:
         assert code == 0
         doc = json.loads((ckpt / "checkpoint.json").read_text())
         assert doc["kind"] == "checkpoint"
-        assert doc["payload"]["completed"] is True
+        # The winning attempt's record reached disk.
+        assert doc["payload"]["arms"]
 
     def test_cache_round_trip(self, source, tmp_path, capsys):
         cache = str(tmp_path / "cache")
@@ -196,10 +197,6 @@ class TestPersistenceFlags:
         assert "(cached)" in second.err
         # Identical program emitted both times.
         assert first.out == second.out
-
-    def test_resume_requires_checkpoint_dir(self, source):
-        with pytest.raises(SystemExit):
-            main(["compile", source, "--resume"])
 
     def test_keyboard_interrupt_flushes_and_exits_130(
         self, source, tmp_path, capsys
@@ -220,10 +217,10 @@ class TestPersistenceFlags:
         assert code == 130
         err = capsys.readouterr().err
         assert "interrupted" in err
-        assert "--resume" in err
+        assert "re-run the same command" in err
         # The interrupt flushed a loadable checkpoint.
         doc = json.loads((ckpt / "checkpoint.json").read_text())
-        assert doc["payload"]["completed"] is False
+        assert doc["payload"]["arms"]
 
     def test_keyboard_interrupt_without_checkpoint(self, source, capsys):
         from repro.resilience import injection
