@@ -57,6 +57,27 @@ from .hw import (
     trident_profile,
 )
 from .ir import Bits, parse_spec, simulate_spec
+from .lang import ParseError, SemanticError
+
+
+class _InputError(Exception):
+    """An unreadable or unparseable input file: :func:`main` prints it
+    as one line on stderr and exits 1."""
+
+
+def _read_source(path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _InputError(f"cannot read {path}: {exc}") from exc
+
+
+def _load_spec(path: str):
+    text = _read_source(path)
+    try:
+        return parse_spec(text)
+    except (ParseError, SemanticError) as exc:
+        raise _InputError(f"{path}: {exc}") from exc
 
 
 def make_device(args: argparse.Namespace):
@@ -149,7 +170,7 @@ def _print_failure(result, args: argparse.Namespace) -> None:
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
-    spec = parse_spec(Path(args.source).read_text())
+    spec = _load_spec(args.source)
     device = make_device(args)
     if args.certify and not (args.cache_dir or args.checkpoint_dir):
         print(
@@ -162,7 +183,6 @@ def cmd_compile(args: argparse.Namespace) -> int:
         parallel_workers=args.jobs,
         seed=args.seed,
         checkpoint_dir=args.checkpoint_dir,
-        checkpoint_interval_seconds=args.checkpoint_interval,
         cache_dir=args.cache_dir,
         test_reuse=not args.no_test_reuse,
         certify=args.certify,
@@ -205,7 +225,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    spec = parse_spec(Path(args.source).read_text())
+    spec = _load_spec(args.source)
     text = args.input
     if text.startswith("0x"):
         raw = bytes.fromhex(text[2:])
@@ -223,7 +243,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    spec = parse_spec(Path(args.source).read_text())
+    spec = _load_spec(args.source)
     device = make_device(args)
     options = CompileOptions(total_max_seconds=args.timeout, seed=args.seed)
     tracer = _make_tracer(args)
@@ -412,7 +432,7 @@ def cmd_submit(args: argparse.Namespace) -> int:
     if args.seed is not None:
         options["seed"] = args.seed
     req_id = client.submit(
-        Path(args.source).read_text(),
+        _read_source(args.source),
         make_device(args),
         tenant=args.tenant,
         options=options,
@@ -535,11 +555,7 @@ def cmd_sat(args: argparse.Namespace) -> int:
     from .smt.sat import Budget, SatSolver, parse_dimacs
 
     want_proof = args.proof is not None or args.check_proof
-    try:
-        text = Path(args.cnf).read_text()
-    except OSError as exc:
-        print(f"cannot read {args.cnf}: {exc}", file=sys.stderr)
-        return 1
+    text = _read_source(args.cnf)
     try:
         num_vars, clauses = parse_dimacs(text)
     except ValueError as exc:
@@ -627,10 +643,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(atomic, checksummed) and resume a matching one found there: "
         "prior counterexamples are replayed and budgets proved UNSAT are "
         "skipped; pass an empty DIR to start over",
-    )
-    p_compile.add_argument(
-        "--checkpoint-interval", type=float, default=0.0, metavar="SECONDS",
-        help="minimum seconds between checkpoint flushes (0 = every event)",
     )
     p_compile.add_argument(
         "--cache-dir", metavar="DIR", default=None,
@@ -898,6 +910,9 @@ def main(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except _InputError as exc:
+        print(exc, file=sys.stderr)
+        return 1
     except KeyboardInterrupt:
         # Make Ctrl-C durable: flush every live checkpoint manager so the
         # interrupted compile can be continued, then exit with the

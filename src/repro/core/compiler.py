@@ -13,8 +13,9 @@
 
 Opt7's portfolio (loop-free vs loop-aware arms, §6.7.1) runs the loop-free
 arm first for loop-free specs — the sequential emulation of the paper's
-parallel race — and optionally distributes budget attempts over a process
-pool when ``options.parallel_workers > 1``.
+parallel race.  The process-pool race is
+:func:`repro.core.parallel.portfolio_compile`'s, over key-limit arms
+(``options.parallel_workers``); each of its arms runs this compiler.
 """
 
 from __future__ import annotations
@@ -115,11 +116,7 @@ class ParserHawkCompiler:
                 return hit
         manager: Optional[CheckpointManager] = None
         if options.checkpoint_dir:
-            manager = CheckpointManager(
-                options.checkpoint_dir,
-                key,
-                interval_seconds=options.checkpoint_interval_seconds,
-            )
+            manager = CheckpointManager(options.checkpoint_dir, key)
 
         # CompileStats is read off the compile span, so a compile always
         # records: under the caller's tracer, else under a private one.
@@ -141,7 +138,7 @@ class ParserHawkCompiler:
         result.options_summary = options.enabled_summary()
         if result.ok:
             if manager is not None:
-                manager.flush(force=True)
+                manager.flush()
             if cache is not None:
                 cache.store(
                     key,
@@ -200,7 +197,7 @@ class ParserHawkCompiler:
         if manager is not None:
             # Resumable failure: flush a final checkpoint and name it on
             # the result.
-            manager.flush(force=True)
+            manager.flush()
             result.checkpoint_path = str(manager.path)
         return result
 
@@ -272,24 +269,16 @@ class ParserHawkCompiler:
             + spec_fingerprint(synth_spec)[:16]
         )
         pool: Optional[TestPool] = None
-        pool_bases: dict = {}
         if options.test_reuse:
             pool = TestPool(synth_spec)
             if manager is not None:
                 # Resume: rebuild the pool exactly as recorded (content
                 # AND order — budget runs are seeded from its prefixes,
-                # so faithfulness depends on both).
+                # so faithfulness depends on both); every later write
+                # snapshots its new entries.
                 for value, length, origin in manager.pool_entries(arm_key):
                     pool.add(Bits(value, length), origin)
-                # From here on, every new entry becomes durable.
-                pool.on_add = (
-                    lambda entry: manager.record_pool_entry(
-                        arm_key,
-                        entry.bits.uint(),
-                        len(entry.bits),
-                        entry.origin,
-                    )
-                )
+                manager.track_pool(arm_key, pool)
         entry_lb = entry_lower_bound(synth_spec, device)
         entry_ub = min(
             device.total_entry_budget(),
@@ -346,14 +335,15 @@ class ParserHawkCompiler:
                     continue
                 if deadline is not None and time.monotonic() > deadline:
                     raise SynthesisTimeout("compiler deadline exceeded")
-                if budget_key in attempted:
+                first_visit = budget_key not in attempted
+                if first_visit:
+                    attempted.add(budget_key)
+                    tracer.count("budget.attempts")
+                else:
                     # A later escalation round re-attempting a budget whose
                     # earlier time slice expired is a retry, not a new
                     # budget (the old code inflated budgets_tried here).
                     tracer.count("budget.retries")
-                else:
-                    attempted.add(budget_key)
-                    tracer.count("budget.attempts")
                 with tracer.span(
                     "budget",
                     stages=stage_budget,
@@ -383,55 +373,36 @@ class ParserHawkCompiler:
                             options.seed, allow_loops, stage_budget,
                             num_entries,
                         )
-                        pool_base = None
-                        if pool is None:
-                            # No pool: keep the original replay behaviour
-                            # (re-apply everything ever recorded for this
-                            # budget).
+                        # The checkpoint records each budget's LATEST
+                        # attempt.  Only a budget's first visit can
+                        # faithfully continue a persisted one; a later
+                        # cold attempt starts afresh (from the full
+                        # current pool, whose earlier discoveries make
+                        # retries cheap) and resets the record to match.
+                        attempt = None
+                        if manager is not None and first_visit:
+                            attempt = manager.latest_attempt(
+                                arm_key, budget_key
+                            )
+                        if attempt is not None:
+                            pool_base, replay = attempt
+                        else:
+                            pool_base = None if pool is None else len(pool)
                             replay = None
                             if manager is not None:
-                                replay = manager.replay_for(
-                                    arm_key, budget_key
+                                manager.begin_attempt(
+                                    arm_key, budget_key, pool_base
                                 )
-                        else:
-                            # The checkpoint records each budget's LATEST
-                            # attempt (pool_base + its live
-                            # counterexamples).  Only the first in-process
-                            # touch of a budget can be a faithful
-                            # continuation of a persisted attempt; a cold
-                            # retry (rare — warm sessions cover slice
-                            # expiry) re-baselines to the full current
-                            # pool — earlier attempts' discoveries are in
-                            # it, which is exactly the cross-attempt reuse
-                            # that makes retries cheap — and resets the
-                            # budget's record to match.
-                            replay = None
-                            if (
-                                budget_key not in pool_bases
-                                and manager is not None
-                            ):
-                                pool_base = manager.pool_base(
-                                    arm_key, budget_key
-                                )
-                                if pool_base is not None:
-                                    replay = manager.replay_for(
-                                        arm_key, budget_key
-                                    )
-                            if pool_base is None:
-                                pool_base = len(pool)
-                                if manager is not None:
-                                    manager.begin_attempt(
-                                        arm_key, budget_key, pool_base
-                                    )
-                            pool_bases[budget_key] = pool_base
 
                         def on_cex(bits, _b=budget_key):
+                            # Pool entry first: the counterexample's
+                            # write-through then carries both.
+                            if pool is not None:
+                                pool.add(bits, ORIGIN_CEX)
                             if manager is not None:
                                 manager.record_counterexample(
                                     arm_key, _b, bits
                                 )
-                            if pool is not None:
-                                pool.add(bits, ORIGIN_CEX)
 
                         session = CegisSession(
                             skeleton,
@@ -517,7 +488,7 @@ class ParserHawkCompiler:
             slice_seconds *= TIME_SLICE_GROWTH
             if manager is not None:
                 manager.record_slice(arm_key, slice_seconds)
-                manager.flush(force=True)
+                manager.flush()
         # Undecided budgets (slice schedule ran out first) mean the search
         # timed out; if every budget was *retired* — each one individually
         # proved UNSAT — infeasibility is proved even when some earlier

@@ -33,7 +33,10 @@ class CompileOptions:
     # §6.7.1 portfolio: on loop-capable targets, try the loop-free arm
     # before the loop-aware one for loop-free specs.
     opt7_parallelism: bool = True
-    parallel_workers: int = 1          # 1 = deterministic sequential portfolio
+    # Worker processes racing repro.core.parallel.portfolio_compile's
+    # key-limit arms (1 = run them in-process, best priority first).
+    # ParserHawkCompiler itself never reads it.
+    parallel_workers: int = 1
     # Directed seed tests for CEGIS (our addition; the paper seeds with a
     # single random input/output pair, which the "Orig" arm reproduces).
     directed_seed_tests: bool = True
@@ -69,7 +72,6 @@ class CompileOptions:
     # produces, so fingerprint.NON_SEMANTIC_OPTIONS excludes them from
     # cache keys.
     checkpoint_dir: Optional[str] = None
-    checkpoint_interval_seconds: float = 0.0   # min seconds between flushes
     cache_dir: Optional[str] = None
     # Certifying mode: DRAT proof logging in every CEGIS solver, an
     # equivalence certificate written next to the cache entry on winner

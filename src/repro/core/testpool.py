@@ -24,16 +24,16 @@ layout per portfolio arm, so each arm's budget search keeps its own pool.
 
 Determinism contract (crash-resume): the pool's *content and insertion
 order* at the moment each budget's run starts is what that run's solver
-sees.  ``repro.persist`` therefore records every pool entry in order plus
-a per-budget ``pool_base`` (the pool size when the budget started), and a
-resumed run reconstructs exactly that prefix — see
-:meth:`TestPool.prefix` and ``CheckpointManager.record_pool_entry``.
+sees.  ``repro.persist`` therefore snapshots the pool in order at every
+checkpoint write, plus a per-budget ``pool_base`` (the pool size when the
+budget started), and a resumed run reconstructs exactly that prefix —
+see :meth:`TestPool.prefix` and ``CheckpointManager.track_pool``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..ir.bits import Bits
 from ..ir.simulator import OUTCOME_OVERRUN, ParseResult, simulate_spec
@@ -62,9 +62,6 @@ class TestPool:
     def __init__(self, spec: ParserSpec) -> None:
         self.spec = spec
         self._entries: Dict[Tuple[int, int], PoolEntry] = {}
-        # Invoked with each genuinely new entry — the checkpoint layer's
-        # hook for making the pool durable in insertion order.
-        self.on_add: Optional[Callable[[PoolEntry], None]] = None
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -81,10 +78,7 @@ class TestPool:
         key = (bits.uint(), len(bits))
         if key in self._entries:
             return False
-        entry = PoolEntry(bits, origin)
-        self._entries[key] = entry
-        if self.on_add is not None:
-            self.on_add(entry)
+        self._entries[key] = PoolEntry(bits, origin)
         return True
 
     # ------------------------------------------------------------------

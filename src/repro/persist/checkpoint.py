@@ -16,9 +16,15 @@ restart cheaply:
   slice;
 * the per-arm **test pool** (see :mod:`repro.core.testpool`), in
   insertion order, plus each budget's ``pool_base`` — the pool size when
-  that budget's run started.  A budget's solver state is a function of
-  the pool prefix it seeded, so faithful replay needs the exact prefix
-  reconstructed.
+  that budget's latest attempt started (``null`` without a pool).  A
+  budget's solver state is a function of the pool prefix it seeded, so
+  faithful replay needs the exact prefix reconstructed.
+
+One write rule: only a counterexample writes the file through — no
+re-run regenerates it without a solve and a verification.  Pool entries
+(snapshotted from each tracked live pool), attempt starts, retirements
+and slices ride along with the next write; the compiler also writes at
+each escalation round's end and at the compile's end.
 
 A portfolio keeps no file of its own: each arm checkpoints under
 :func:`arm_checkpoint_dir`, and an arm that retired every budget
@@ -34,10 +40,9 @@ result is not allowed to depend on it.
 
 from __future__ import annotations
 
-import time
 import weakref
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
 from ..ir.bits import Bits
 from ..obs import get_tracer
@@ -60,16 +65,16 @@ WRITE_RETRY_POLICY = RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0)
 
 BudgetKey = Tuple[Optional[int], int]        # (stage budget or None, entries)
 
-# Managers with possibly-unflushed state, so a KeyboardInterrupt handler
-# (see cli.main) can flush whatever compile was in flight.
+# Live managers, so a KeyboardInterrupt handler (see cli.main) can flush
+# whatever compile was in flight.
 _ACTIVE: "weakref.WeakSet[CheckpointManager]" = weakref.WeakSet()
 
 
 def flush_active() -> int:
-    """Force-flush every live manager; returns how many flushed."""
+    """Flush every live manager; returns how many wrote."""
     flushed = 0
     for manager in list(_ACTIVE):
-        if manager.flush(force=True):
+        if manager.flush():
             flushed += 1
     return flushed
 
@@ -89,28 +94,24 @@ class CheckpointManager:
     """
 
     def __init__(
-        self,
-        directory: Union[str, Path],
-        compile_key: str,
-        interval_seconds: float = 0.0,
+        self, directory: Union[str, Path], compile_key: str
     ) -> None:
         self.directory = Path(directory)
         self.path = self.directory / CHECKPOINT_FILENAME
         self.compile_key = compile_key
-        self.interval_seconds = interval_seconds
         self.resumed = False
-        self._dirty = False
         self._disabled = False
         self._write_state = WRITE_RETRY_POLICY.start(
             key=compile_key, sleep=None
         )
-        self._last_flush = 0.0
+        # Live test pools, per arm, snapshotted into the state on write.
+        self._pools: Dict[str, Any] = {}
         self.state: Dict[str, Any] = {"compile_key": compile_key, "arms": {}}
         self._load()
         # Materialize the file up front: a crash before the first
         # counterexample still leaves a resumable (if empty) checkpoint,
         # and failure results can name an existing path.
-        self.flush(force=True)
+        self.flush()
         _ACTIVE.add(self)
 
     # -- loading -----------------------------------------------------------
@@ -143,35 +144,53 @@ class CheckpointManager:
     def record_counterexample(
         self, arm_key: str, budget: BudgetKey, bits: Bits
     ) -> None:
+        """Append a live counterexample and write the file through —
+        carrying every record made since the last write."""
         budget_doc = self._arm(arm_key)["budgets"].setdefault(
             _budget_id(budget), {"cex": []}
         )
         budget_doc["cex"].append([bits.uint(), len(bits)])
-        self._dirty = True
         get_tracer().count("checkpoint.counterexamples")
         self.flush()
 
-    def replay_for(self, arm_key: str, budget: BudgetKey) -> List[Bits]:
+    def latest_attempt(
+        self, arm_key: str, budget: BudgetKey
+    ) -> Optional[Tuple[Optional[int], List[Bits]]]:
+        """The budget's persisted latest attempt — its ``pool_base`` and
+        counterexamples, which a resumed run seeds and replays — or
+        None if none was recorded."""
         arm = self.state["arms"].get(arm_key)
-        if not arm:
-            return []
-        doc = arm["budgets"].get(_budget_id(budget))
-        if not doc:
-            return []
-        return [Bits(value, length) for value, length in doc["cex"]]
+        doc = arm["budgets"].get(_budget_id(budget)) if arm else None
+        if doc is None:
+            return None
+        return (
+            doc.get("pool_base"),
+            [Bits(value, length) for value, length in doc["cex"]],
+        )
+
+    def begin_attempt(
+        self, arm_key: str, budget: BudgetKey, base: Optional[int]
+    ) -> None:
+        """Reset a budget's record for a fresh attempt.
+
+        The checkpoint describes the budget's *latest* attempt: its
+        ``pool_base`` (the full pool as of attempt start — earlier
+        attempts' discoveries are in the pool, so a retry reuses them;
+        None without a pool) and only the counterexamples that attempt
+        discovers live.  A resumed run then replays exactly that
+        attempt: seed the pool prefix, re-apply its recorded
+        counterexamples."""
+        self._arm(arm_key)["budgets"][_budget_id(budget)] = {
+            "cex": [],
+            "pool_base": base,
+        }
 
     # -- test pool (repro.core.testpool) -----------------------------------
-    def record_pool_entry(
-        self, arm_key: str, value: int, length: int, origin: str
-    ) -> None:
-        """Append one pool entry (insertion order is part of the replay
-        contract — budget runs seed from pool *prefixes*)."""
-        self._arm(arm_key).setdefault("pool", []).append(
-            [value, length, origin]
-        )
-        self._dirty = True
-        get_tracer().count("checkpoint.pool_entries")
-        self.flush()
+    def track_pool(self, arm_key: str, pool: Any) -> None:
+        """Persist the append-only ``pool`` (a
+        :class:`~repro.core.testpool.TestPool`) in insertion order with
+        every write from now on: each write appends its new entries."""
+        self._pools[arm_key] = pool
 
     def pool_entries(self, arm_key: str) -> List[Tuple[int, int, str]]:
         arm = self.state["arms"].get(arm_key)
@@ -182,31 +201,13 @@ class CheckpointManager:
             for value, length, origin in arm.get("pool", [])
         ]
 
-    def begin_attempt(
-        self, arm_key: str, budget: BudgetKey, base: int
-    ) -> None:
-        """Reset a budget's record for a fresh attempt.
-
-        The checkpoint describes the budget's *latest* attempt: its
-        ``pool_base`` (the full pool as of attempt start — earlier
-        attempts' discoveries are in the pool, so a retry reuses them)
-        and only the counterexamples that attempt discovers live.  A
-        resumed run then replays exactly that attempt: seed the pool
-        prefix, re-apply its recorded counterexamples."""
-        self._arm(arm_key)["budgets"][_budget_id(budget)] = {
-            "cex": [],
-            "pool_base": base,
-        }
-        self._dirty = True
-
-    def pool_base(self, arm_key: str, budget: BudgetKey) -> Optional[int]:
-        arm = self.state["arms"].get(arm_key)
-        if not arm:
-            return None
-        doc = arm["budgets"].get(_budget_id(budget))
-        if not doc:
-            return None
-        return doc.get("pool_base")
+    def _snapshot_pools(self) -> None:
+        for arm_key, pool in self._pools.items():
+            recorded = self._arm(arm_key).setdefault("pool", [])
+            for entry in pool.prefix()[len(recorded):]:
+                recorded.append(
+                    [entry.bits.uint(), len(entry.bits), entry.origin]
+                )
 
     def record_retired(
         self,
@@ -222,12 +223,9 @@ class CheckpointManager:
         entry = [budget[0], budget[1]]
         if entry not in arm["retired"]:
             arm["retired"].append(entry)
-            self._dirty = True
         if proof_ref is not None:
             refs = arm.setdefault("proof_refs", {})
             refs[_budget_id(budget)] = proof_ref
-            self._dirty = True
-            self.flush()
 
     def proof_refs(self, arm_key: str) -> Dict[str, Dict[str, Any]]:
         """Recorded UNSAT proof-bundle references, keyed by budget id."""
@@ -243,10 +241,7 @@ class CheckpointManager:
         return {(stage, entries) for stage, entries in arm["retired"]}
 
     def record_slice(self, arm_key: str, slice_seconds: float) -> None:
-        arm = self._arm(arm_key)
-        if arm["slice_seconds"] != slice_seconds:
-            arm["slice_seconds"] = slice_seconds
-            self._dirty = True
+        self._arm(arm_key)["slice_seconds"] = slice_seconds
 
     def resume_slice(self, arm_key: str) -> Optional[float]:
         arm = self.state["arms"].get(arm_key)
@@ -255,23 +250,16 @@ class CheckpointManager:
         return arm["slice_seconds"]
 
     # -- flushing ----------------------------------------------------------
-    def flush(self, force: bool = False) -> bool:
-        """Write the state out if dirty (or forced); True when written.
+    def flush(self) -> bool:
+        """Write the state out, with every tracked pool's new entries;
+        True when written.
 
         Failures degrade: counted, and checkpointing disables itself
         once ``WRITE_RETRY_POLICY`` is exhausted (consecutive errors; a
         good write in between resets the streak)."""
         if self._disabled:
             return False
-        if not force:
-            if not self._dirty:
-                return False
-            if (
-                self.interval_seconds > 0
-                and time.monotonic() - self._last_flush
-                < self.interval_seconds
-            ):
-                return False
+        self._snapshot_pools()
         try:
             write_atomic(
                 self.path, CHECKPOINT_KIND, CHECKPOINT_VERSION, self.state
@@ -284,8 +272,6 @@ class CheckpointManager:
                 tracer.count("checkpoint.disabled")
             return False
         self._write_state.record_success()
-        self._dirty = False
-        self._last_flush = time.monotonic()
         get_tracer().count("checkpoint.flushes")
         return True
 

@@ -46,7 +46,6 @@ NON_SEMANTIC_OPTIONS = frozenset(
         "parallel_workers",
         "total_max_seconds",
         "checkpoint_dir",
-        "checkpoint_interval_seconds",
         "cache_dir",
         "certify",
     }

@@ -91,6 +91,7 @@ from .journal import (
     JobJournal,
     JournalWriteError,
     WRITE_FENCED,
+    WRITE_OK,
 )
 from .lease import DEFAULT_TTL, Lease, LeaseManager
 from .reaper import Reaper
@@ -546,14 +547,15 @@ class CompileService:
     ) -> None:
         """Complete ``job`` with the cached answer ``doc`` at
         (re-)admission, under the service lock: ``write`` journals it
-        terminal, and it claims no slot and keeps no lease."""
+        terminal, and it claims no slot and keeps no lease.  Only a
+        write that did not land keeps it tracked in memory."""
         job.state = JOB_DONE
         job.result_doc = doc
         job.finished_epoch = time.time()
-        write(job)
-        self._jobs[job.job_id] = job
-        self._events[job.job_id] = threading.Event()
-        self._events[job.job_id].set()
+        if write(job) not in (None, WRITE_OK):
+            self._jobs[job.job_id] = job
+            self._events[job.job_id] = threading.Event()
+            self._events[job.job_id].set()
         if lease is not None:
             self.leases.release(lease)             # terminal: nothing to own
 
@@ -568,6 +570,8 @@ class CompileService:
 
     # -- introspection -------------------------------------------------
     def status(self, job_id: str) -> Optional[Job]:
+        """A live job's in-memory state; the journal answers for jobs
+        this service does not track, finished ones included."""
         with self._lock:
             job = self._jobs.get(job_id)
         if job is not None:
@@ -588,7 +592,6 @@ class CompileService:
                 "queue_depth": len(self._queue),
                 "inflight_keys": len(self._inflight),
                 "jobs_tracked": len(self._jobs),
-                "primaries_live": self.admission.primaries,
                 "admission_queue_depth": self.admission.primaries,
                 "estimated_compile_seconds": round(
                     self.admission.estimated_seconds(), 3
@@ -786,7 +789,8 @@ class CompileService:
         if message:
             job.message = message
         job.finished_epoch = time.time()
-        if self.journal.transition(job) == WRITE_FENCED:
+        written = self.journal.transition(job)
+        if written == WRITE_FENCED:
             # A newer owner journaled first (stolen lease, or a
             # conflicting terminal).  Our outcome is void: drop the job
             # locally and let clients follow the journal's owner.  The
@@ -806,7 +810,7 @@ class CompileService:
                 self.admission.observe_duration(
                     job.finished_epoch - job.started_epoch
                 )
-            event = self._events.get(job.job_id)
+            event = self._settle_locked(job.job_id, written)
             waiter_jobs = [self._jobs[w] for w in waiters if w in self._jobs]
         if event is not None:
             event.set()
@@ -817,15 +821,28 @@ class CompileService:
             waiter.result_doc = job.result_doc
             waiter.degraded = job.degraded
             waiter.finished_epoch = job.finished_epoch
-            if self.journal.transition(waiter) == WRITE_FENCED:
+            written = self.journal.transition(waiter)
+            if written == WRITE_FENCED:
                 self._count("serve.stale_finishes")
             self._release_lease(waiter.job_id)
             self._count(f"serve.jobs_{waiter.state}")
             with self._lock:
                 self.admission.release(waiter.tenant, primary=False)
-                waiter_event = self._events.get(waiter.job_id)
+                waiter_event = self._settle_locked(waiter.job_id, written)
             if waiter_event is not None:
                 waiter_event.set()
+
+    def _settle_locked(
+        self, job_id: str, written: str
+    ) -> Optional[threading.Event]:
+        """A terminal job's completion event, under the service lock.
+        Once its terminal write has landed the job leaves the in-memory
+        tables and the journal answers for it; a degraded write keeps
+        it, since the journal still holds an older state."""
+        if written == WRITE_OK:
+            self._jobs.pop(job_id, None)
+            return self._events.pop(job_id, None)
+        return self._events.get(job_id)
 
 
 __all__ = ["CompileService", "SERVICE_RETRY_POLICY"]

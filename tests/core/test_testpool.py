@@ -64,15 +64,6 @@ class TestPoolBasics:
         assert [e.bits for e in pool.prefix(2)] == inputs[:2]
         assert pool.prefix(0) == []
 
-    def test_on_add_hook_sees_only_new_entries(self, spec):
-        pool = Pool(spec)
-        recorded = []
-        pool.on_add = lambda entry: recorded.append(entry.bits)
-        pool.add(Bits(1, 4))
-        pool.add(Bits(1, 4))   # duplicate: hook must not fire
-        pool.add(Bits(2, 4))
-        assert recorded == [Bits(1, 4), Bits(2, 4)]
-
     def test_has_seeds_respects_prefix(self, spec):
         pool = Pool(spec)
         pool.add(Bits(1, 4), ORIGIN_CEX)

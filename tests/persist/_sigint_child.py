@@ -1,10 +1,11 @@
 """Subprocess body for the Ctrl-C (SIGINT) durability test.
 
 Runs the real CLI (``repro compile``) on a multi-solve benchmark with a
-checkpoint directory and a huge ``--checkpoint-interval`` — so the only
-checkpoint writes are the (empty) constructor flush and whatever
-``flush_active()`` persists from the KeyboardInterrupt handler in
-``cli.main``.  An injected per-solve delay touches a marker file from
+checkpoint directory.  Only a counterexample writes the checkpoint
+through, and this compile finds none before its first round ends, so
+the only checkpoint writes are the (empty) constructor flush and
+whatever ``flush_active()`` persists from the KeyboardInterrupt handler
+in ``cli.main``.  An injected per-solve delay touches a marker file from
 the third solver call onward, giving the parent a wide window to
 deliver SIGINT mid-CEGIS.
 
@@ -29,9 +30,9 @@ def main() -> int:
     def slow_then_mark() -> None:
         state["visits"] += 1
         if state["visits"] >= 3:
-            # By now the test pool / first counterexamples live only in
-            # memory (periodic flushing is suppressed); hold the solver
-            # so the parent can interrupt mid-CEGIS.
+            # By now the test pool lives only in memory (pool entries
+            # ride along with the next write); hold the solver so the
+            # parent can interrupt mid-CEGIS.
             Path(marker).touch()
             time.sleep(0.5)
 
@@ -42,8 +43,6 @@ def main() -> int:
             spec_path,
             "--checkpoint-dir",
             ckpt_dir,
-            "--checkpoint-interval",
-            "9999",
             "--seed",
             "3",
         ]

@@ -1,8 +1,15 @@
-"""CheckpointManager state tracking, durability, and degradation."""
+"""CheckpointManager state tracking, its write rule, durability, and
+degradation."""
 
 from __future__ import annotations
 
-from repro.ir import Bits
+import json
+
+from repro.benchgen import all_base_specs
+from repro.core import CompileOptions, compile_spec
+from repro.core.testpool import TestPool as Pool
+from repro.hw.device import tofino_profile
+from repro.ir import Bits, parse_spec
 from repro.obs import Tracer, use_tracer
 from repro.persist import CheckpointManager, arm_checkpoint_dir, flush_active
 from repro.persist.checkpoint import CHECKPOINT_FILENAME
@@ -13,6 +20,11 @@ KEY = "k" * 64
 ARM = "fwd:0123456789abcdef"
 BUDGET = (None, 5)
 STAGED = (3, 7)
+# A spec for pools whose expectations are never computed.
+TINY = """
+header h { a : 4; }
+parser P { state start { extract(h); transition accept; } }
+"""
 
 
 class TestStateRoundTrip:
@@ -28,10 +40,10 @@ class TestStateRoundTrip:
             manager.record_counterexample(ARM, BUDGET, bits)
         resumed = CheckpointManager(tmp_path, KEY)
         assert resumed.resumed
-        assert resumed.replay_for(ARM, BUDGET) == inputs
-        # Budgets and arms are separate pools.
-        assert resumed.replay_for(ARM, STAGED) == []
-        assert resumed.replay_for("loop:other", BUDGET) == []
+        assert resumed.latest_attempt(ARM, BUDGET) == (None, inputs)
+        # Budgets and arms are separate records.
+        assert resumed.latest_attempt(ARM, STAGED) is None
+        assert resumed.latest_attempt("loop:other", BUDGET) is None
 
     def test_retired_budgets_and_slice(self, tmp_path):
         manager = CheckpointManager(tmp_path, KEY)
@@ -39,7 +51,7 @@ class TestStateRoundTrip:
         manager.record_retired(ARM, STAGED)
         manager.record_retired(ARM, STAGED)       # idempotent
         manager.record_slice(ARM, 40.0)
-        manager.flush(force=True)
+        manager.flush()
         resumed = CheckpointManager(tmp_path, KEY)
         assert resumed.retired_budgets(ARM) == {BUDGET, STAGED}
         assert resumed.resume_slice(ARM) == 40.0
@@ -55,7 +67,7 @@ class TestResumeGuards:
         with use_tracer(tracer):
             other = CheckpointManager(tmp_path, "b" * 64)
         assert not other.resumed
-        assert other.replay_for(ARM, BUDGET) == []
+        assert other.latest_attempt(ARM, BUDGET) is None
         assert tracer.registry.get("persist.key_mismatch") == 1
 
     def test_corrupt_checkpoint_means_cold_start(self, tmp_path):
@@ -64,22 +76,13 @@ class TestResumeGuards:
         old.path.write_text(old.path.read_text()[:-40])
         resumed = CheckpointManager(tmp_path, KEY)
         assert not resumed.resumed
-        assert resumed.replay_for(ARM, BUDGET) == []
+        assert resumed.latest_attempt(ARM, BUDGET) is None
         assert any(
             ".corrupt-" in p.name for p in tmp_path.iterdir()
         )
 
 
 class TestDegradation:
-    def test_interval_throttles_flushes(self, tmp_path):
-        manager = CheckpointManager(
-            tmp_path, KEY, interval_seconds=3600.0
-        )
-        assert not manager.flush()                 # not dirty
-        manager.record_retired(ARM, BUDGET)
-        assert not manager.flush()                 # throttled
-        assert manager.flush(force=True)           # force bypasses
-
     def test_write_failures_self_disable(self, tmp_path):
         manager = CheckpointManager(tmp_path, KEY)
         injection.inject(
@@ -93,7 +96,7 @@ class TestDegradation:
         assert tracer.registry.get("persist.write_failures") == 3
         assert tracer.registry.get("checkpoint.disabled") == 1
         # Once disabled it stays off — even with the disk healthy again.
-        assert not manager.flush(force=True)
+        assert not manager.flush()
 
     def test_flush_active_flushes_live_managers(self, tmp_path):
         manager = CheckpointManager(tmp_path, KEY)
@@ -119,9 +122,14 @@ class TestPoolPersistence:
 
     def test_pool_entries_round_trip_in_order(self, tmp_path):
         manager = CheckpointManager(tmp_path, KEY)
-        manager.record_pool_entry(ARM, 5, 3, "seed")
-        manager.record_pool_entry(ARM, 0, 1, "cex")
-        manager.record_pool_entry(ARM, 0xFF, 8, "shared")
+        pool = Pool(parse_spec(TINY))
+        pool.add(Bits(5, 3), "seed")
+        pool.add(Bits(0, 1), "cex")
+        manager.track_pool(ARM, pool)
+        manager.flush()
+        # The pool is append-only: a later write adds only the new tail.
+        pool.add(Bits(0xFF, 8), "shared")
+        manager.flush()
         resumed = CheckpointManager(tmp_path, KEY)
         assert resumed.pool_entries(ARM) == [
             (5, 3, "seed"), (0, 1, "cex"), (0xFF, 8, "shared"),
@@ -137,12 +145,10 @@ class TestPoolPersistence:
         # pool by now), only the new attempt's are replayed.
         manager.begin_attempt(ARM, BUDGET, 4)
         manager.record_counterexample(ARM, BUDGET, Bits(3, 2))
-        manager.flush(force=True)
         resumed = CheckpointManager(tmp_path, KEY)
-        assert resumed.pool_base(ARM, BUDGET) == 4
-        assert resumed.replay_for(ARM, BUDGET) == [Bits(3, 2)]
-        assert resumed.pool_base(ARM, STAGED) is None
-        assert resumed.pool_base("loop:other", BUDGET) is None
+        assert resumed.latest_attempt(ARM, BUDGET) == (4, [Bits(3, 2)])
+        assert resumed.latest_attempt(ARM, STAGED) is None
+        assert resumed.latest_attempt("loop:other", BUDGET) is None
 
     def test_pool_base_recorded_without_attempt_reset(self, tmp_path):
         # Counterexamples an attempt discovers are appended to its
@@ -151,7 +157,64 @@ class TestPoolPersistence:
         manager.begin_attempt(ARM, BUDGET, 2)
         manager.record_counterexample(ARM, BUDGET, Bits(1, 2))
         manager.record_counterexample(ARM, BUDGET, Bits(3, 2))
-        manager.flush(force=True)
         resumed = CheckpointManager(tmp_path, KEY)
-        assert resumed.pool_base(ARM, BUDGET) == 2
-        assert resumed.replay_for(ARM, BUDGET) == [Bits(1, 2), Bits(3, 2)]
+        assert resumed.latest_attempt(ARM, BUDGET) == (
+            2, [Bits(1, 2), Bits(3, 2)]
+        )
+
+
+class TestWriteRule:
+    """Only a counterexample writes through; every other record rides
+    along with the next write."""
+
+    def test_only_a_counterexample_writes_through(self, tmp_path):
+        manager = CheckpointManager(tmp_path, KEY)
+        pool = Pool(parse_spec(TINY))
+        manager.track_pool(ARM, pool)
+        empty = manager.path.read_bytes()
+        pool.add(Bits(5, 4), "seed")
+        manager.begin_attempt(ARM, BUDGET, 1)
+        manager.record_retired(ARM, STAGED, proof_ref={"refutation": "x"})
+        manager.record_slice(ARM, 40.0)
+        assert manager.path.read_bytes() == empty
+        pool.add(Bits(9, 4), "cex")
+        manager.record_counterexample(ARM, BUDGET, Bits(9, 4))
+        resumed = CheckpointManager(tmp_path, KEY)
+        assert resumed.pool_entries(ARM) == [(5, 4, "seed"), (9, 4, "cex")]
+        assert resumed.latest_attempt(ARM, BUDGET) == (1, [Bits(9, 4)])
+        assert resumed.retired_budgets(ARM) == {STAGED}
+        assert resumed.proof_refs(ARM) == {"3:7": {"refutation": "x"}}
+        assert resumed.resume_slice(ARM) == 40.0
+
+    def test_directed_compile_writes_twice(self, tmp_path, monkeypatch):
+        # Directed seeds settle parse_icmp with no counterexample: the
+        # constructor and the compile's end are its only writes, and the
+        # last one carries the whole pool in pool order.
+        pools = {}
+        track = CheckpointManager.track_pool
+
+        def spy(manager, arm_key, pool):
+            pools[arm_key] = pool
+            track(manager, arm_key, pool)
+
+        monkeypatch.setattr(CheckpointManager, "track_pool", spy)
+        ckpt = tmp_path / "ckpt"
+        tracer = Tracer()
+        with use_tracer(tracer):
+            result = compile_spec(
+                all_base_specs()["parse_icmp"],
+                tofino_profile(),
+                CompileOptions(checkpoint_dir=str(ckpt)),
+            )
+        assert result.ok
+        assert tracer.registry.get("checkpoint.counterexamples") == 0
+        assert tracer.registry.get("checkpoint.flushes") == 2
+        arms = json.loads((ckpt / CHECKPOINT_FILENAME).read_text())[
+            "payload"
+        ]["arms"]
+        assert pools and set(arms) == set(pools)
+        for arm_key, pool in pools.items():
+            assert len(pool) > 1
+            assert arms[arm_key]["pool"] == [
+                [e.bits.uint(), len(e.bits), e.origin] for e in pool.prefix()
+            ]

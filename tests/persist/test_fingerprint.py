@@ -99,7 +99,6 @@ class TestOptionsFingerprint:
             parallel_workers=8,
             total_max_seconds=123.0,
             checkpoint_dir="/tmp/x",
-            checkpoint_interval_seconds=5.0,
             cache_dir="/tmp/y",
         )
         assert options_fingerprint(base) == options_fingerprint(varied)

@@ -9,6 +9,7 @@ import os
 from repro.core import CompileOptions
 from repro.core.parallel import derive_subproblems, portfolio_compile
 from repro.core.result import STATUS_INFEASIBLE, STATUS_TIMEOUT
+from repro.hw.device import tofino_profile
 from repro.ir import parse_spec
 from repro.obs import Tracer, use_tracer
 from repro.persist import arm_checkpoint_dir
@@ -73,6 +74,23 @@ class TestPortfolioCheckpoint:
             "budget.retired"
         )
         assert again.get("budget.attempts") == 0
+
+    def test_each_arm_writes_at_most_three_times(self, tmp_path):
+        # Directed seeds refute every budget without a counterexample,
+        # so an arm writes at its start, at its round's end and at most
+        # once more: pool entries and retirements never write through.
+        spec = parse_spec(NEEDS_THREE_ENTRIES)
+        device = tofino_profile()
+        options = CompileOptions(
+            checkpoint_dir=str(tmp_path / "ckpt"), max_extra_entries=0
+        )
+        arms = derive_subproblems(spec, device, options)
+        tracer = Tracer()
+        with use_tracer(tracer):
+            result = portfolio_compile(spec, device, options)
+        assert result.status == STATUS_INFEASIBLE
+        assert tracer.registry.get("budget.retired") >= len(arms)
+        assert tracer.registry.get("checkpoint.flushes") <= 3 * len(arms)
 
     def test_portfolio_timeout_names_checkpoint(
         self, tmp_path, spec, device

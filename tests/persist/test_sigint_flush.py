@@ -1,10 +1,12 @@
 """Ctrl-C durability: SIGINT mid-CEGIS must flush a resumable checkpoint
 and exit with the conventional 130 (the PR-3 contract in ``cli.main``).
 
-The child runs the real CLI with periodic checkpoint flushing suppressed
-(``--checkpoint-interval 9999``), so the mid-run CEGIS state reaches
-disk *only* through ``flush_active()`` in the KeyboardInterrupt handler
-— if the checkpoint holds any arm state, the handler provably ran.
+The child runs the real CLI on a compile that finds no counterexample
+before the signal.  Only a counterexample writes a checkpoint through —
+pool entries and attempt starts ride along with the next write — so the
+mid-run CEGIS state reaches disk *only* through ``flush_active()`` in
+the KeyboardInterrupt handler: if the checkpoint holds any arm state,
+the handler provably ran.
 """
 
 from __future__ import annotations

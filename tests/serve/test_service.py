@@ -7,6 +7,9 @@ injected deterministically — no real crashes, no statistical slop.
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
 from repro.core.compiler import compile_spec
@@ -100,6 +103,75 @@ class TestHappyPath:
             again.result_doc["program"]
             == svc.status(first.job_id).result_doc["program"]
         )
+
+
+class TestFinishedJobs:
+    def test_journal_answers_for_finished_jobs(
+        self, tmp_path, spec_source, device
+    ):
+        # One compile, then 200 submissions the cache answers at
+        # admission: none of them stays in memory, and the journal
+        # answers status() and wait() for all of them.
+        svc = make_service(tmp_path, workers=1)
+        svc.start()
+        try:
+            first = svc.submit(spec_source, device)
+            svc.wait(first.job_id, timeout=WAIT)
+            jobs = [first] + [
+                svc.submit(spec_source, device) for _ in range(200)
+            ]
+            gauges = svc.metrics()["gauges"]
+            for job in jobs:
+                status = svc.status(job.job_id)
+                assert status.state == JOB_DONE and status.result_doc
+                waited = svc.wait(job.job_id, timeout=0)
+                assert waited.terminal and waited.job_id == job.job_id
+        finally:
+            svc.shutdown()
+        assert svc.registry.get("serve.cache_hits") == 200
+        assert gauges["jobs_tracked"] == 0
+        assert not svc._events
+
+    def test_concurrent_clients_see_every_finish(
+        self, tmp_path, spec_source, other_spec_source, device
+    ):
+        # More workers and clients than cores, with a short switch
+        # interval: each wait() must return its job terminal whether it
+        # caught the in-memory event or came after the job had moved to
+        # the journal, and no finished job may stay tracked.
+        svc = make_service(tmp_path, workers=4)
+        sources = [spec_source, other_spec_source]
+        states, errors = [], []
+
+        def client(index):
+            try:
+                for round_ in range(5):
+                    job = svc.submit(
+                        sources[(index + round_) % 2], device,
+                        tenant=f"t{index}",
+                    )
+                    states.append(svc.wait(job.job_id, timeout=WAIT).state)
+            except Exception as exc:      # surfaced by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        svc.start()
+        try:
+            clients = [
+                threading.Thread(target=client, args=(i,)) for i in range(8)
+            ]
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(timeout=WAIT)
+            assert not any(thread.is_alive() for thread in clients)
+        finally:
+            sys.setswitchinterval(interval)
+            svc.shutdown()
+        assert errors == []
+        assert states == [JOB_DONE] * 40
+        assert svc.metrics()["gauges"]["jobs_tracked"] == 0
 
 
 class TestRetry:

@@ -132,6 +132,53 @@ class TestValidate:
         assert "passed" in capsys.readouterr().out
 
 
+# Every command that takes a parser source file, with "SRC" standing for
+# the file and "DIR" for a service directory.
+SOURCE_COMMANDS = {
+    "compile": ["compile", "SRC"],
+    "simulate": ["simulate", "SRC", "0x00"],
+    "validate": ["validate", "SRC"],
+    "submit": ["submit", "DIR", "SRC"],
+}
+
+
+def _argv(command, src, tmp_path):
+    names = {"SRC": str(src), "DIR": str(tmp_path / "svc")}
+    return [names.get(arg, arg) for arg in SOURCE_COMMANDS[command]]
+
+
+class TestSourceErrors:
+    """A bad source file ends the command with one line on stderr and
+    exit code 1, never a traceback."""
+
+    @pytest.mark.parametrize("command", sorted(SOURCE_COMMANDS))
+    def test_missing_file(self, command, tmp_path, capsys):
+        src = tmp_path / "nope.p4sub"
+        assert main(_argv(command, src, tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith(f"cannot read {src}: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["compile", "simulate", "validate"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "header eth { dst : 8; ",
+            "parser P { state start { transition nowhere; } }",
+        ],
+        ids=["ParseError", "SemanticError"],
+    )
+    def test_unparseable_spec(self, command, text, tmp_path, capsys):
+        src = tmp_path / "bad.p4sub"
+        src.write_text(text)
+        assert main(_argv(command, src, tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith(f"{src}: ")
+        assert err.count("\n") == 1
+
+
 class TestArgParsing:
     def test_missing_command_exits(self):
         with pytest.raises(SystemExit):
