@@ -184,7 +184,6 @@ def cmd_compile(args: argparse.Namespace) -> int:
         seed=args.seed,
         checkpoint_dir=args.checkpoint_dir,
         cache_dir=args.cache_dir,
-        test_reuse=not args.no_test_reuse,
         certify=args.certify,
     )
     tracer = _make_tracer(args)
@@ -656,12 +655,6 @@ def build_parser() -> argparse.ArgumentParser:
         "solver, an offline-checkable equivalence certificate next to "
         "the cache entry (with --cache-dir), and proof bundles for "
         "budgets proved UNSAT (with --checkpoint-dir)",
-    )
-    p_compile.add_argument(
-        "--no-test-reuse", action="store_true",
-        help="disable the incremental-synthesis test pool (counterexamples "
-        "and seed tests are re-discovered at every budget instead of "
-        "being replayed); mainly for A/B perf measurement",
     )
     p_compile.add_argument(
         "--trace", metavar="PATH", default=None,

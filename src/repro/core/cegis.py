@@ -216,15 +216,16 @@ class CegisSession:
     with each *newly* discovered counterexample's input, which is how the
     checkpoint layer records them.
 
-    ``pool`` is the compile-wide :class:`TestPool`: its first
-    ``pool_base`` entries (all of it when None) are encoded as up-front
-    constraints — no solve, no verification — and any tests this run
-    generates or discovers are recorded back into it.  When the seeded
-    prefix already carries directed seed tests, this run reuses them
-    instead of regenerating its own (initial_tests depends on the spec,
-    not the budget).  ``pool_base`` exists for faithful crash-resume: a
-    resumed budget must see exactly the pool prefix the interrupted run
-    saw when it started, not entries recorded afterwards.
+    ``pool`` is the compile-wide :class:`TestPool` (a session given
+    none gets a private, empty one): its first ``pool_base`` entries
+    (all of it when None) are encoded as up-front constraints — no
+    solve, no verification — and the seed tests this run generates are
+    recorded back into it.  When the seeded prefix already carries
+    directed seed tests, this run reuses them instead of regenerating
+    its own (initial_tests depends on the spec, not the budget).
+    ``pool_base`` exists for faithful crash-resume: a resumed budget
+    must see exactly the pool prefix the interrupted run saw when it
+    started, not entries recorded afterwards.
     """
 
     def __init__(
@@ -246,7 +247,7 @@ class CegisSession:
         self.max_iterations = max_iterations
         self.directed_tests = directed_tests
         self.on_counterexample = on_counterexample
-        self.pool = pool
+        self.pool = pool if pool is not None else TestPool(self.spec)
         self.pool_base = pool_base
         self.certify = certify
         self._sp = SymbolicProgram(skeleton)
@@ -260,10 +261,7 @@ class CegisSession:
         # exactly the prefix that existed when the attempt started, even
         # if the shared pool keeps growing while this budget is parked
         # between slices.
-        self._pool_tests = (
-            list(pool.tests(self.max_steps, size=pool_base))
-            if pool is not None else []
-        )
+        self._pool_tests = self.pool.tests(self.max_steps, size=pool_base)
         self._replay = list(replay or ())
         # Resume cursors: each phase records how far it got, so a slice
         # that expires mid-phase continues from the same position.
@@ -379,14 +377,12 @@ class CegisSession:
 
             if not self._seeds_done:
                 self._seeds_done = True
-                pool = self.pool
-                if pool is None or not pool.has_seeds(self.pool_base):
+                if not self.pool.has_seeds(self.pool_base):
                     for bits, expected in initial_tests(
                         spec, self.rng, max_steps=max_steps,
                         directed=self.directed_tests,
                     ):
-                        if pool is not None:
-                            pool.add(bits, ORIGIN_SEED)
+                        self.pool.add(bits, ORIGIN_SEED)
                         if bits in self._encoded_inputs:
                             continue
                         self._encoded_inputs.add(bits)

@@ -36,7 +36,6 @@ from ..persist import (
     certificate_doc,
     compile_key,
     spec_fingerprint,
-    store_proof_bundle,
     write_certificate,
 )
 from ..resilience import CompileFault
@@ -268,17 +267,15 @@ class ParserHawkCompiler:
             ("loop" if allow_loops else "fwd") + ":"
             + spec_fingerprint(synth_spec)[:16]
         )
-        pool: Optional[TestPool] = None
-        if options.test_reuse:
-            pool = TestPool(synth_spec)
-            if manager is not None:
-                # Resume: rebuild the pool exactly as recorded (content
-                # AND order — budget runs are seeded from its prefixes,
-                # so faithfulness depends on both); every later write
-                # snapshots its new entries.
-                for value, length, origin in manager.pool_entries(arm_key):
-                    pool.add(Bits(value, length), origin)
-                manager.track_pool(arm_key, pool)
+        pool = TestPool(synth_spec)
+        if manager is not None:
+            # Resume: rebuild the pool exactly as recorded (content AND
+            # order — budget runs are seeded from its prefixes, so
+            # faithfulness depends on both); every later write snapshots
+            # its new entries.
+            for value, length, origin in manager.pool_entries(arm_key):
+                pool.add(Bits(value, length), origin)
+            manager.track_pool(arm_key, pool)
         entry_lb = entry_lower_bound(synth_spec, device)
         entry_ub = min(
             device.total_entry_budget(),
@@ -307,8 +304,7 @@ class ParserHawkCompiler:
         # Warm solver paths (incremental synthesis): budgets whose time
         # slice expired park their live CegisSession here and the next
         # escalation round *continues* it — no re-encoding, no repeated
-        # solves or verifications.  Gated on the pool (options.test_reuse)
-        # so --no-test-reuse measures the cold-retry baseline.
+        # solves or verifications.
         warm_sessions: dict = {}
         tracer = get_tracer()
         saw_unknown = False
@@ -387,7 +383,7 @@ class ParserHawkCompiler:
                         if attempt is not None:
                             pool_base, replay = attempt
                         else:
-                            pool_base = None if pool is None else len(pool)
+                            pool_base = len(pool)
                             replay = None
                             if manager is not None:
                                 manager.begin_attempt(
@@ -397,8 +393,7 @@ class ParserHawkCompiler:
                         def on_cex(bits, _b=budget_key):
                             # Pool entry first: the counterexample's
                             # write-through then carries both.
-                            if pool is not None:
-                                pool.add(bits, ORIGIN_CEX)
+                            pool.add(bits, ORIGIN_CEX)
                             if manager is not None:
                                 manager.record_counterexample(
                                     arm_key, _b, bits
@@ -421,8 +416,7 @@ class ParserHawkCompiler:
                     except SynthesisTimeout:
                         saw_unknown = True
                         remaining.append(budget_key)
-                        if pool is not None:
-                            warm_sessions[budget_key] = session
+                        warm_sessions[budget_key] = session
                         continue
                     except (
                         EncodingOverflow, VerificationBudgetExceeded
@@ -437,29 +431,10 @@ class ParserHawkCompiler:
                         retired.add(budget_key)
                         tracer.count("budget.retired")
                         if manager is not None:
-                            proof_ref = None
-                            proof = getattr(outcome, "proof", None)
-                            if (
-                                options.certify
-                                and proof is not None
-                                and proof.has_refutation
-                            ):
-                                # UNSAT-gated verdict: park the DRAT
-                                # bundle next to the checkpoint so the
-                                # retirement is offline-checkable.
-                                budget_id = (
-                                    f"{'-' if stage_budget is None else stage_budget}"
-                                    f":{num_entries}"
-                                )
-                                proof_ref = store_proof_bundle(
-                                    manager.directory,
-                                    manager.compile_key,
-                                    arm_key,
-                                    budget_id,
-                                    proof,
-                                )
+                            # A certifying solve's refutation becomes an
+                            # offline-checkable proof bundle.
                             manager.record_retired(
-                                arm_key, budget_key, proof_ref=proof_ref
+                                arm_key, budget_key, proof=outcome.proof
                             )
                         continue  # proved UNSAT at this budget; grow it
                     assert outcome.program is not None

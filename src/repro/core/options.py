@@ -8,7 +8,7 @@ is the "Orig" arm of Table 3 (naive encoding).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 
@@ -40,15 +40,6 @@ class CompileOptions:
     # Directed seed tests for CEGIS (our addition; the paper seeds with a
     # single random input/output pair, which the "Orig" arm reproduces).
     directed_seed_tests: bool = True
-    # Incremental synthesis (repro.core.testpool): record every
-    # counterexample and directed seed test once and replay the pool as
-    # up-front constraints into every subsequent budget's CEGIS run.
-    # Valid tests only ever prune spec-inequivalent candidates, so
-    # per-budget feasibility — and the minimal budget found — is
-    # unchanged.  The memoryless path (CLI --no-test-reuse) is the
-    # reference tests/core/test_compiler.py::TestTestReuse checks
-    # resources and CEGIS iterations against.
-    test_reuse: bool = True
 
     # Whole-compile wall-clock budget.
     total_max_seconds: Optional[float] = None
@@ -98,10 +89,6 @@ class CompileOptions:
             directed_seed_tests=False,
         )
         return replace(base, **overrides)
-
-    @classmethod
-    def all_enabled(cls, **overrides) -> "CompileOptions":
-        return replace(cls(), **overrides)
 
     def enabled_summary(self) -> str:
         """The enabled optimizations in the paper's Opt1-Opt7 numbering.

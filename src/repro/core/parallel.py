@@ -32,9 +32,9 @@ path, so it must degrade instead of dying.
 
 Tracing: each arm runs under a ``portfolio.arm`` span.  Worker processes
 cannot share the parent's tracer, so when tracing is enabled each worker
-builds its own :class:`~repro.obs.Tracer`, and ships the finished span
-tree plus a counter-registry snapshot back with its result; the parent
-grafts the spans under its own trace and merges the counters.
+builds its own :class:`~repro.obs.Tracer` and ships the finished span
+tree back with its result; the parent grafts it under its own trace,
+and the tree's counters count in the parent's totals.
 """
 
 from __future__ import annotations
@@ -61,9 +61,8 @@ from .result import (
     CompileResult,
 )
 
-# (priority, result, span-tree dict or None, counter snapshot or None)
-ArmOutcome = Tuple[int, CompileResult, Optional[Dict[str, Any]],
-                   Optional[Dict[str, float]]]
+# (priority, result, span-tree dict or None)
+ArmOutcome = Tuple[int, CompileResult, Optional[Dict[str, Any]]]
 
 # Environments where a process pool cannot even be created (no /dev/shm,
 # seccomp'd fork, missing _multiprocessing) raise one of these.
@@ -134,7 +133,7 @@ def _run_subproblem(
     if not trace:
         return subproblem.priority, compiler.compile(
             spec, subproblem.device
-        ), None, None
+        ), None
     # Worker-side tracer: serialized back for the parent to merge.
     tracer = Tracer()
     with use_tracer(tracer):
@@ -144,12 +143,7 @@ def _run_subproblem(
             priority=subproblem.priority,
         ) as arm_span:
             result = compiler.compile(spec, subproblem.device)
-    return (
-        subproblem.priority,
-        result,
-        arm_span.to_dict(),
-        tracer.registry.snapshot(),
-    )
+    return subproblem.priority, result, arm_span.to_dict()
 
 
 def _valid_winner(result: CompileResult, device: DeviceProfile) -> bool:
@@ -283,7 +277,7 @@ def _run_arms_inline(
             "portfolio.arm", label=sub.label, priority=sub.priority
         ) as arm_span:
             try:
-                _priority, result, _spans, _counters = _run_subproblem(
+                _priority, result, _spans = _run_subproblem(
                     spec, bounded
                 )
             except Exception as exc:
@@ -354,13 +348,13 @@ def _run_pooled(
         """Record one finished arm; returns whether it won the race.
         ``BrokenProcessPool`` propagates: the pool, not the arm, failed."""
         try:
-            priority, result, spans, counters = future.result(timeout=0)
+            priority, result, spans = future.result(timeout=0)
         except BrokenProcessPool:
             raise
         except Exception as exc:
             # Supervision: the arm failed (worker raised, or its outcome
             # could not be pickled back) — record a per-arm failure.
-            priority, spans, counters = sub.priority, None, None
+            priority, spans = sub.priority, None
             result = _arm_failure(sub, exc, device)
             with tracer.span(
                 "portfolio.arm.fault",
@@ -373,8 +367,6 @@ def _run_pooled(
         completed.add(sub.priority)
         if spans is not None:
             tracer.attach(spans)
-        if counters is not None and tracer.enabled:
-            tracer.registry.merge(counters)
         results.append((priority, result))
         return _valid_winner(result, device)
 

@@ -70,9 +70,6 @@ class TestPool:
     def __contains__(self, bits: Bits) -> bool:
         return (bits.uint(), len(bits)) in self._entries
 
-    def entries(self) -> List[PoolEntry]:
-        return list(self._entries.values())
-
     def add(self, bits: Bits, origin: str = ORIGIN_CEX) -> bool:
         """Record a test input; returns True if it was new."""
         key = (bits.uint(), len(bits))

@@ -12,13 +12,7 @@ from .device import (
     trident_profile,
 )
 from .impl import ACCEPT_SID, REJECT_SID, ImplEntry, ImplState, TcamProgram
-from .tcam import (
-    ResourceExhausted,
-    TcamRow,
-    TcamTable,
-    TernaryPattern,
-    minimal_cover_exact,
-)
+from .tcam import TernaryPattern, minimal_cover_exact
 
 __all__ = [
     "ACCEPT_SID",
@@ -28,11 +22,8 @@ __all__ = [
     "INTERLEAVED",
     "PIPELINED",
     "REJECT_SID",
-    "ResourceExhausted",
     "SINGLE_TCAM",
     "TcamProgram",
-    "TcamRow",
-    "TcamTable",
     "TernaryPattern",
     "custom_profile",
     "emit_for_device",

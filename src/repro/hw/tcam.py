@@ -82,67 +82,6 @@ class TernaryPattern:
         return self.to_wildcard_string()
 
 
-@dataclass
-class TcamRow:
-    """One physical row: pattern plus an opaque action payload."""
-
-    pattern: TernaryPattern
-    action: object
-
-    def __repr__(self) -> str:
-        return f"TcamRow({self.pattern} -> {self.action!r})"
-
-
-class TcamTable:
-    """A priority-ordered TCAM with a fixed capacity and key width."""
-
-    def __init__(self, key_width: int, capacity: Optional[int] = None) -> None:
-        self.key_width = key_width
-        self.capacity = capacity
-        self.rows: List[TcamRow] = []
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def install(self, pattern: TernaryPattern, action: object) -> TcamRow:
-        if pattern.width != self.key_width:
-            raise ValueError(
-                f"pattern width {pattern.width} != table key width {self.key_width}"
-            )
-        if self.capacity is not None and len(self.rows) >= self.capacity:
-            raise ResourceExhausted(
-                f"TCAM capacity {self.capacity} exceeded"
-            )
-        row = TcamRow(pattern, action)
-        self.rows.append(row)
-        return row
-
-    def lookup(self, key: int) -> Optional[TcamRow]:
-        """First-match-wins search."""
-        for row in self.rows:
-            if row.pattern.matches(key):
-                return row
-        return None
-
-    def lookup_all(self, key: int) -> List[TcamRow]:
-        return [row for row in self.rows if row.pattern.matches(key)]
-
-    def shadowed_rows(self) -> List[int]:
-        """Indices of rows fully covered by earlier rows (never matched)."""
-        out: List[int] = []
-        for j in range(len(self.rows)):
-            pattern = self.rows[j].pattern
-            for i in range(j):
-                if self.rows[i].pattern.covers(pattern):
-                    out.append(j)
-                    break
-        return out
-
-
-class ResourceExhausted(Exception):
-    """A hardware resource limit (entries, stages, key bits) was exceeded."""
-
-
 def minimal_cover_exact(
     values: Iterable[int], width: int, max_patterns: Optional[int] = None
 ) -> List[TernaryPattern]:

@@ -40,14 +40,6 @@ def _fresh_name(spec: ParserSpec, base: str) -> str:
     return f"{base}_{index}"
 
 
-def _full_mask(pattern: ValueMask, width: int) -> int:
-    if pattern.wildcard:
-        return 0
-    if pattern.mask is None:
-        return (1 << width) - 1
-    return pattern.mask & ((1 << width) - 1)
-
-
 # ---------------------------------------------------------------------------
 # R1: redundant entries
 # ---------------------------------------------------------------------------

@@ -150,9 +150,6 @@ class SpecState:
     def is_unconditional(self) -> bool:
         return not self.key
 
-    def next_states(self) -> List[str]:
-        return [r.next_state for r in self.rules]
-
 
 @dataclass
 class ParserSpec:

@@ -44,10 +44,6 @@ class HeaderDecl:
     fields: Tuple[FieldDecl, ...]
     location: Optional[SourceLocation] = None
 
-    @property
-    def total_width(self) -> int:
-        return sum(f.width for f in self.fields)
-
     def field(self, name: str) -> FieldDecl:
         for f in self.fields:
             if f.name == name:

@@ -7,7 +7,7 @@ punctuation, and the ternary-mask operator ``&&&`` used in select cases
 
 from __future__ import annotations
 
-from typing import Iterator, List
+from typing import List
 
 from .errors import ParseError, SourceLocation
 
@@ -132,7 +132,3 @@ def tokenize(source: str) -> List[Token]:
         raise ParseError(f"unexpected character {ch!r}", loc())
     tokens.append(Token("eof", "", loc()))
     return tokens
-
-
-def iter_tokens(source: str) -> Iterator[Token]:
-    return iter(tokenize(source))

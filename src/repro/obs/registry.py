@@ -1,10 +1,10 @@
 """Flat, mergeable counter registry.
 
-Processes don't share memory, so "process-safe" here means *snapshot and
-merge*: a ``ProcessPoolExecutor`` worker accumulates into its own
-registry, ships :meth:`CounterRegistry.snapshot` back with its result,
-and the parent folds it in with :meth:`CounterRegistry.merge`.  Within a
-process the registry is thread-safe.
+The compile service's own aggregate (``CompileService.registry``): each
+job runs under a private :class:`~repro.obs.tracer.Tracer`, whose span
+tree holds that job's counters, and the service folds the tree's totals
+in with :meth:`CounterRegistry.merge`.  The registry is thread-safe, so
+the service's worker threads share it.
 """
 
 from __future__ import annotations

@@ -13,11 +13,13 @@ one small allocation per span.  A compile always records, under a
 private ``Tracer`` when none is installed, because ``CompileStats`` is
 read off its ``compile`` span.
 
-Worker processes cannot share a tracer with their parent.  Instead a
-worker runs under its own ``Tracer``, serializes the finished span tree
-with :meth:`Span.to_dict` plus a :class:`~repro.obs.registry.CounterRegistry`
-snapshot, and the parent grafts them back with :meth:`Tracer.attach` /
-``registry.merge`` (see ``core/parallel.py``).
+Counters live in one place, the span tree: :attr:`Tracer.registry` is a
+read-only view of the tree's totals.  Worker processes cannot share a
+tracer with their parent.  Instead a worker runs under its own
+``Tracer`` and serializes the finished span tree with
+:meth:`Span.to_dict`, and the parent grafts it back with
+:meth:`Tracer.attach` (see ``core/parallel.py``); the grafted counters
+then count in the parent's totals.
 """
 
 from __future__ import annotations
@@ -26,8 +28,6 @@ import time
 from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Any, Dict, Iterator, List, Optional, Union
-
-from .registry import CounterRegistry
 
 Number = Union[int, float]
 
@@ -128,13 +128,30 @@ class Span:
         )
 
 
+class CounterView:
+    """A span tree's counter totals, read live: the ``get`` and
+    ``snapshot`` reads of a :class:`~repro.obs.registry.CounterRegistry`
+    without a second store to keep in step with the tree."""
+
+    __slots__ = ("_root",)
+
+    def __init__(self, root: Span) -> None:
+        self._root = root
+
+    def get(self, name: str, default: Number = 0) -> Number:
+        return self._root.counter_totals().get(name, default)
+
+    def snapshot(self) -> Dict[str, Number]:
+        """A picklable copy of the totals."""
+        return self._root.counter_totals()
+
+
 class Tracer:
-    """Records a span tree plus a flat counter registry."""
+    """Records a span tree whose spans carry the counters."""
 
     enabled = True
 
     def __init__(self, name: str = "trace") -> None:
-        self.registry = CounterRegistry()
         self.root = Span(name)
         self.root.start = time.monotonic()
         self._stack: List[Span] = [self.root]
@@ -162,9 +179,14 @@ class Tracer:
 
     # -- counters ----------------------------------------------------------
     def count(self, name: str, delta: Number = 1) -> None:
-        """Add to the current span's counters and the flat registry."""
+        """Add to the current span's counters."""
         self._stack[-1].count(name, delta)
-        self.registry.add(name, delta)
+
+    @property
+    def registry(self) -> CounterView:
+        """The whole tree's counter totals, grafted worker spans
+        included."""
+        return CounterView(self.root)
 
     # -- worker merge ------------------------------------------------------
     def attach(self, span: Union[Span, Dict[str, Any]]) -> Span:

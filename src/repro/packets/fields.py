@@ -47,14 +47,3 @@ def internet_checksum(data: bytes) -> int:
     """The Internet checksum (used by IPv4/ICMP; TCP/UDP add a pseudo
     header before calling this)."""
     return (~ones_complement_sum(data)) & 0xFFFF
-
-
-def pseudo_header_v4(
-    src: int, dst: int, protocol: int, length: int
-) -> bytes:
-    return (
-        src.to_bytes(4, "big")
-        + dst.to_bytes(4, "big")
-        + bytes([0, protocol])
-        + length.to_bytes(2, "big")
-    )

@@ -18,7 +18,7 @@ below the compiler driver; imports nothing from ``core.compiler`` or
 """
 
 from .atomic import canonical_json, load_envelope, quarantine, write_atomic
-from .cache import CompileCache, cache_for_options, result_cache_key
+from .cache import CompileCache, cache_for_options
 from .certify import (
     CertificateCheck,
     certificate_doc,
@@ -66,7 +66,6 @@ __all__ = [
     "program_from_doc",
     "program_to_doc",
     "quarantine",
-    "result_cache_key",
     "result_from_doc",
     "result_to_doc",
     "spec_fingerprint",

@@ -90,6 +90,12 @@ def file_mutex(
         os.close(fd)
 
 
+def file_slug(label: str) -> str:
+    """``label`` as one safe path component: every character but
+    alphanumerics, ``-`` and ``_`` becomes ``_``."""
+    return "".join(ch if ch.isalnum() or ch in "-_" else "_" for ch in label)
+
+
 def canonical_json(doc: Any) -> str:
     """Deterministic JSON: sorted keys, no whitespace variance."""
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))

@@ -35,11 +35,9 @@ from typing import Any, Dict, Optional, Union
 
 from ..core.result import STATUS_OK, CompileResult
 from ..hw.device import DeviceProfile
-from ..ir.spec import ParserSpec
 from ..obs import get_tracer
 from ..resilience.injection import fault_point
 from .atomic import load_envelope, quarantine, write_atomic
-from .fingerprint import compile_key
 from .serialize import result_from_doc, result_to_doc
 
 CACHE_KIND = "compile-result"
@@ -284,9 +282,3 @@ def cache_for_options(options) -> Optional[CompileCache]:
     if getattr(options, "cache_dir", None):
         return CompileCache(options.cache_dir)
     return None
-
-
-def result_cache_key(
-    spec: ParserSpec, device: DeviceProfile, options
-) -> str:
-    return compile_key(spec, device, options)

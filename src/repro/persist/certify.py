@@ -47,7 +47,7 @@ from ..ir.bits import Bits
 from ..ir.simulator import SimulationError, equivalent_behavior, simulate_spec
 from ..ir.spec import ParserSpec, parse_spec
 from ..obs import get_tracer
-from .atomic import load_envelope, write_atomic
+from .atomic import file_slug, load_envelope, write_atomic
 from .fingerprint import device_fingerprint, program_fingerprint, spec_fingerprint
 from .serialize import program_from_doc, program_to_doc
 
@@ -200,10 +200,7 @@ def store_proof_bundle(
     reference (paths relative to ``directory`` plus content hashes), or
     None on write failure (best-effort, like checkpoint flushes)."""
     root = Path(directory) / PROOF_DIRNAME
-    slug = "".join(
-        ch if ch.isalnum() or ch in "-_" else "_"
-        for ch in f"{arm_key}.{budget_id}"
-    )
+    slug = file_slug(f"{arm_key}.{budget_id}")
     stem = f"{compile_key[:16]}.{slug}"
     cnf_text = proof.input_dimacs()
     drat_text = proof.to_drat()

@@ -16,9 +16,12 @@ restart cheaply:
   slice;
 * the per-arm **test pool** (see :mod:`repro.core.testpool`), in
   insertion order, plus each budget's ``pool_base`` — the pool size when
-  that budget's latest attempt started (``null`` without a pool).  A
-  budget's solver state is a function of the pool prefix it seeded, so
-  faithful replay needs the exact prefix reconstructed.
+  that budget's latest attempt started.  A budget's solver state is a
+  function of the pool prefix it seeded, so faithful replay needs the
+  exact prefix reconstructed;
+* per-arm **proof references** (certifying compiles): each retired
+  budget's DRAT bundle under ``proofs/``, named by the same budget id
+  that keys its reference.
 
 One write rule: only a counterexample writes the file through — no
 re-run regenerates it without a solve and a verification.  Pool entries
@@ -47,7 +50,8 @@ from typing import Any, Dict, List, Optional, Set, Tuple, Union
 from ..ir.bits import Bits
 from ..obs import get_tracer
 from ..resilience.retry import RetryPolicy
-from .atomic import load_envelope, write_atomic
+from .atomic import file_slug, load_envelope, write_atomic
+from .certify import store_proof_bundle
 
 CHECKPOINT_KIND = "checkpoint"
 # v2 added the per-arm test pool and per-budget pool_base.  A v1 file
@@ -169,17 +173,16 @@ class CheckpointManager:
         )
 
     def begin_attempt(
-        self, arm_key: str, budget: BudgetKey, base: Optional[int]
+        self, arm_key: str, budget: BudgetKey, base: int
     ) -> None:
         """Reset a budget's record for a fresh attempt.
 
         The checkpoint describes the budget's *latest* attempt: its
         ``pool_base`` (the full pool as of attempt start — earlier
-        attempts' discoveries are in the pool, so a retry reuses them;
-        None without a pool) and only the counterexamples that attempt
-        discovers live.  A resumed run then replays exactly that
-        attempt: seed the pool prefix, re-apply its recorded
-        counterexamples."""
+        attempts' discoveries are in the pool, so a retry reuses them)
+        and only the counterexamples that attempt discovers live.  A
+        resumed run then replays exactly that attempt: seed the pool
+        prefix, re-apply its recorded counterexamples."""
         self._arm(arm_key)["budgets"][_budget_id(budget)] = {
             "cex": [],
             "pool_base": base,
@@ -210,22 +213,25 @@ class CheckpointManager:
                 )
 
     def record_retired(
-        self,
-        arm_key: str,
-        budget: BudgetKey,
-        proof_ref: Optional[Dict[str, Any]] = None,
+        self, arm_key: str, budget: BudgetKey, proof: Any = None
     ) -> None:
-        """Mark a budget UNSAT.  ``proof_ref`` (certifying compiles) is
-        the DRAT bundle manifest from
-        :func:`repro.persist.certify.store_proof_bundle`, recorded under
-        ``proof_refs`` so the retirement verdict is offline-checkable."""
+        """Mark a budget UNSAT.  A ``proof`` (certifying compiles: the
+        solver's DRAT :class:`~repro.smt.sat.proof.ProofLog`) that
+        refutes the budget is stored as a bundle next to the checkpoint
+        (:func:`repro.persist.certify.store_proof_bundle`) and its
+        manifest recorded under ``proof_refs``, so the retirement verdict
+        is offline-checkable."""
         arm = self._arm(arm_key)
         entry = [budget[0], budget[1]]
         if entry not in arm["retired"]:
             arm["retired"].append(entry)
-        if proof_ref is not None:
-            refs = arm.setdefault("proof_refs", {})
-            refs[_budget_id(budget)] = proof_ref
+        if proof is not None and proof.has_refutation:
+            budget_id = _budget_id(budget)
+            ref = store_proof_bundle(
+                self.directory, self.compile_key, arm_key, budget_id, proof
+            )
+            if ref is not None:
+                arm.setdefault("proof_refs", {})[budget_id] = ref
 
     def proof_refs(self, arm_key: str) -> Dict[str, Dict[str, Any]]:
         """Recorded UNSAT proof-bundle references, keyed by budget id."""
@@ -278,7 +284,4 @@ class CheckpointManager:
 
 def arm_checkpoint_dir(root: Union[str, Path], label: str) -> Path:
     """A stable per-portfolio-arm checkpoint directory under ``root``."""
-    slug = "".join(
-        ch if ch.isalnum() or ch in "-_" else "_" for ch in label
-    )
-    return Path(root) / "arms" / slug
+    return Path(root) / "arms" / file_slug(label)

@@ -35,7 +35,7 @@ from ..ir.spec import FieldKey, LookaheadKey, ParserSpec
 
 # Bumped whenever a canonical document changes shape, so cache entries
 # and checkpoints written under the old shape miss cleanly.
-CANONICAL_VERSION = 6
+CANONICAL_VERSION = 7
 
 # CompileOptions fields that cannot change which program a *successful*
 # compile produces: execution-shape knobs and the persistence config.

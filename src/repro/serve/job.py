@@ -48,7 +48,6 @@ OPTION_OVERRIDES = frozenset(
     {
         "seed",
         "certify",
-        "test_reuse",
         "directed_seed_tests",
         "max_extra_entries",
         "budget_time_slice",

@@ -119,7 +119,6 @@ class CompileService:
         breaker: Optional[CircuitBreaker] = None,
         breaker_threshold: int = 3,
         breaker_cooldown: float = 30.0,
-        use_cache: bool = True,
         sleep: Callable[[float], None] = time.sleep,
         owner_id: Optional[str] = None,
         lease_ttl: float = DEFAULT_TTL,
@@ -137,9 +136,7 @@ class CompileService:
             if self.leases is not None
             else None
         )
-        self.cache: Optional[CompileCache] = (
-            CompileCache(self.root / "cache") if use_cache else None
-        )
+        self.cache = CompileCache(self.root / "cache")
         self.admission = AdmissionQueue(
             capacity=capacity, per_tenant=per_tenant, workers=workers
         )
@@ -561,10 +558,8 @@ class CompileService:
 
     def _cached_doc(self, job: Job) -> Optional[Dict[str, Any]]:
         """The cached answer for ``job``'s compile key as a result
-        document, or None (no cache, or a miss).  A pure query: the
-        caller decides how the job completes."""
-        if self.cache is None:
-            return None
+        document, or None on a miss.  A pure query: the caller decides
+        how the job completes."""
         result = self.cache.lookup(job.compile_key, job.build_device())
         return None if result is None else result_to_doc(result)
 
@@ -717,7 +712,7 @@ class CompileService:
         """One compile attempt with deadline propagation + checkpointing."""
         fault_point("serve.worker", label=job.compile_key)
         overrides: Dict[str, Any] = {
-            "cache_dir": str(self.cache.directory) if self.cache else None,
+            "cache_dir": str(self.cache.directory),
             "checkpoint_dir": str(self.checkpoint_dir_for(job.compile_key)),
         }
         requested = job.options.get("total_max_seconds")

@@ -16,7 +16,6 @@ from .terms import (
     BitVec,
     BitVecVal,
     Bool,
-    BoolToBv,
     BoolVal,
     BvAdd,
     BvAnd,
@@ -49,7 +48,7 @@ from .terms import (
 
 __all__ = [
     "AtMostOne",
-    "And", "BOOL", "BitBlaster", "BitVec", "BitVecVal", "Bool", "BoolToBv",
+    "And", "BOOL", "BitBlaster", "BitVec", "BitVecVal", "Bool",
     "BoolVal", "Budget", "BvAdd", "BvAnd", "BvNot", "BvOr", "BvSub", "BvXor",
     "Concat", "Eq", "ExactlyOne", "Extract", "FALSE", "If", "Iff", "Implies",
     "Lshr", "Model", "Not", "Or", "PopCountAtMost", "SAT", "SatSolver",

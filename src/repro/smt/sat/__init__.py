@@ -1,7 +1,7 @@
 """From-scratch CDCL SAT solver used as ParserHawk's search substrate."""
 
 from .arena import CREF_NONE, ClauseArena
-from .clause import lit, lit_from_dimacs, neg, sign_of, to_dimacs, var_of
+from .clause import lit, lit_from_dimacs, neg, to_dimacs
 from .dimacs import parse_dimacs, solver_from_dimacs, write_dimacs
 from .dratcheck import ProofCheckResult, check_proof, parse_drat
 from .proof import ProofLog
@@ -21,9 +21,7 @@ __all__ = [
     "luby",
     "neg",
     "parse_dimacs",
-    "sign_of",
     "solver_from_dimacs",
     "to_dimacs",
-    "var_of",
     "write_dimacs",
 ]

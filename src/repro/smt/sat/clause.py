@@ -31,14 +31,3 @@ def to_dimacs(packed: int) -> int:
 def neg(packed: int) -> int:
     """Negate a packed literal."""
     return packed ^ 1
-
-
-def var_of(packed: int) -> int:
-    """Variable index of a packed literal."""
-    return packed >> 1
-
-
-def sign_of(packed: int) -> bool:
-    """True when the packed literal is positive."""
-    return (packed & 1) == 0
-

@@ -71,10 +71,6 @@ class ActivityHeap:
         if var < len(self._pos) and self._pos[var] >= 0:
             self._sift_up(self._pos[var])
 
-    def rescaled(self) -> None:
-        """Rebuild after a global activity rescale (order is preserved,
-        so nothing to do; present for interface clarity)."""
-
     def _sift_up(self, i: int) -> None:
         heap, pos, act = self._heap, self._pos, self._activity
         item = heap[i]

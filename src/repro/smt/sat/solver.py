@@ -41,10 +41,6 @@ FALSE = 0
 UNDEF = -1
 
 
-class Unsatisfiable(Exception):
-    """Raised internally when the formula is unsatisfiable at level 0."""
-
-
 class Budget:
     """Resource budget for a single ``solve`` call.
 
@@ -474,9 +470,6 @@ class SatSolver:
         self.num_propagations += props
         self.propagate_seconds += perf_counter() - t0
         return CREF_NONE
-
-    def _decision_level(self) -> int:
-        return len(self.trail_lim)
 
     def _new_decision_level(self) -> None:
         self.trail_lim.append(len(self.trail))

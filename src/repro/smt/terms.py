@@ -556,11 +556,6 @@ def If(cond: Term, then_t, else_t) -> Term:
     return Term("ite", (cond, then_t, else_t), (), then_t.sort)
 
 
-def BoolToBv(cond: Term) -> Term:
-    """A 1-bit vector that is 1 exactly when ``cond`` holds."""
-    return If(cond, BitVecVal(1, 1), BitVecVal(0, 1))
-
-
 def PopCountAtMost(bits: Sequence[Term], k: int) -> Term:
     """True when at most ``k`` of the Bool terms are true (small-n encoding)."""
     bits = list(bits)

@@ -12,9 +12,14 @@ from repro.core import (
     compile_spec,
     verify_equivalent,
 )
+from repro.core.cegis import CegisSession
+from repro.core.compiler import _budget_rng
+from repro.core.normalize import prepare_spec
+from repro.core.skeleton import build_skeleton, entry_lower_bound
 from repro.hw import custom_profile, ipu_profile, tofino_profile
 from repro.ir import parse_spec
-from tests.conftest import assert_program_matches_spec
+from repro.obs import Tracer, use_tracer
+from tests.conftest import ETH_DISPATCH, assert_program_matches_spec
 
 TOFINO = tofino_profile(
     key_limit=8, tcam_limit=64, lookahead_limit=8, extract_limit=64
@@ -23,6 +28,21 @@ IPU = ipu_profile(
     key_limit=8, tcam_per_stage_limit=16, lookahead_limit=8,
     stage_limit=10, extract_limit=64,
 )
+# {1, 2} share a destination but no ternary cube, so start needs three
+# entries while the destination-count lower bound claims two — the
+# search must pass through an UNSAT budget first.
+NEEDS_THREE_ENTRIES = """
+header h { a : 4; x : 2; }
+parser P {
+    state start {
+        extract(h.a);
+        transition select(h.a) {
+            1 : s1; 2 : s1; default : accept;
+        }
+    }
+    state s1 { extract(h.x); transition accept; }
+}
+"""
 
 
 class TestBasicCompiles:
@@ -367,69 +387,99 @@ class TestBudgetAccounting:
         assert result.stats.budget_retries == 2
 
 
+def _memoryless_oracle(spec, num_entries):
+    """One fresh CegisSession at ``num_entries`` that shares no pool, on
+    the loop-free prepared spec, seeded as the compile seeds that budget:
+    ``(feasible, cegis.iterations)``."""
+    synth_spec, _plan = prepare_spec(
+        spec, pipelined=True, minimize_widths=True, fix_varbits=True
+    )
+    skeleton = build_skeleton(
+        synth_spec, TOFINO, CompileOptions(), num_entries=num_entries,
+        stage_budget=None, allow_loops=False,
+    )
+    rng = _budget_rng(0, False, None, num_entries)
+    tracer = Tracer()
+    with use_tracer(tracer):
+        outcome = CegisSession(skeleton, rng).run()
+    return outcome.feasible, tracer.registry.get("cegis.iterations")
+
+
 class TestTestReuse:
     """Cross-budget test reuse (the shared pool + warm sessions) must
     never change an answer — only how much work finding it costs."""
 
-    def test_reuse_on_off_agree_on_resources(self, dispatch_spec, rng):
-        on = compile_spec(
-            dispatch_spec, TOFINO, CompileOptions(test_reuse=True)
+    @pytest.mark.parametrize(
+        "source",
+        [NEEDS_THREE_ENTRIES, ETH_DISPATCH],
+        ids=["needs_three_entries", "eth_dispatch"],
+    )
+    def test_pool_never_changes_the_winning_budget(self, source, rng):
+        """Every budget below the compile's answer is infeasible for the
+        memoryless per-budget engine, the answer's budget is feasible,
+        and the pool never costs iterations."""
+        spec = parse_spec(source)
+        result = compile_spec(spec, TOFINO)
+        assert result.ok
+        synth_spec, _plan = prepare_spec(
+            spec, pipelined=True, minimize_widths=True, fix_varbits=True
         )
-        off = compile_spec(
-            dispatch_spec, TOFINO, CompileOptions(test_reuse=False)
-        )
-        assert on.ok and off.ok
-        assert on.num_entries == off.num_entries
-        assert on.num_stages == off.num_stages
-        assert on.stats.cegis_iterations <= off.stats.cegis_iterations
-        assert_program_matches_spec(dispatch_spec, on.program, rng)
+        oracle_iterations = 0
+        lower = entry_lower_bound(synth_spec, TOFINO)
+        for num_entries in range(lower, result.num_entries + 1):
+            feasible, iterations = _memoryless_oracle(spec, num_entries)
+            oracle_iterations += iterations
+            assert feasible == (num_entries == result.num_entries)
+        assert result.stats.cegis_iterations <= oracle_iterations
+        assert_program_matches_spec(spec, result.program, rng)
 
     def test_forced_retries_resume_warm(self, dispatch_spec, rng):
         """A microscopic first slice forces the escalation schedule to
-        retry: with reuse the parked session continues (warm_resumes),
-        without it every retry is a cold re-run.  Where exactly a slice
-        expires is wall-clock dependent, so the entry *patterns* may
-        legitimately differ between modes — the guarantee is the winning
-        budget (the resource counts) and correctness, which must be
-        identical."""
-        on = compile_spec(
-            dispatch_spec, TOFINO,
-            CompileOptions(test_reuse=True, budget_time_slice=1e-6),
+        retry, and the parked session continues warm.  Where exactly a
+        slice expires is wall-clock dependent; the winning budget (the
+        resource counts) and correctness are not."""
+        warm = compile_spec(
+            dispatch_spec, TOFINO, CompileOptions(budget_time_slice=1e-6)
         )
-        off = compile_spec(
-            dispatch_spec, TOFINO,
-            CompileOptions(test_reuse=False, budget_time_slice=1e-6),
-        )
-        assert on.ok and off.ok
-        assert on.num_entries == off.num_entries
-        assert on.num_stages == off.num_stages
-        assert on.stats.warm_resumes >= 1
-        assert off.stats.warm_resumes == 0
-        assert off.stats.budget_retries >= 1
-        assert_program_matches_spec(dispatch_spec, on.program, rng)
-        assert_program_matches_spec(dispatch_spec, off.program, rng)
+        default = compile_spec(dispatch_spec, TOFINO)
+        assert warm.ok and default.ok
+        assert warm.stats.warm_resumes >= 1
+        assert warm.num_entries == default.num_entries
+        assert warm.num_stages == default.num_stages
+        assert_program_matches_spec(dispatch_spec, warm.program, rng)
 
     def test_pool_reuse_reported_in_stats(self):
         """Budgets past the first see the pool: a proved-UNSAT first
         budget's tests are replayed into the next one as constraints."""
-        # {1, 2} share a destination but no ternary cube, so start needs
-        # three entries while the destination-count lower bound claims
-        # two — the search must pass through an UNSAT budget first.
-        spec = parse_spec(
-            """
-            header h { a : 4; x : 2; }
-            parser P {
-                state start {
-                    extract(h.a);
-                    transition select(h.a) {
-                        1 : s1; 2 : s1; default : accept;
-                    }
-                }
-                state s1 { extract(h.x); transition accept; }
-            }
-            """
-        )
-        result = compile_spec(spec, TOFINO, CompileOptions(test_reuse=True))
+        result = compile_spec(parse_spec(NEEDS_THREE_ENTRIES), TOFINO)
         assert result.ok
         assert result.stats.budgets_retired >= 1
         assert result.stats.pool_tests_reused >= 1
+
+
+def test_rejected_scaled_program_falls_back_to_unscaled(
+    dispatch_spec, monkeypatch
+):
+    """A winner whose restored (Opt2/Opt6-scaled) program fails the final
+    check is re-synthesized at the same budget without scaling, by a
+    session with a private pool."""
+    calls = {"finalize": 0, "retry": 0}
+    finalize = ParserHawkCompiler._finalize
+    retry = ParserHawkCompiler._retry_unscaled
+
+    def reject_first(self, *args, **kwargs):
+        calls["finalize"] += 1
+        if calls["finalize"] == 1:
+            return None
+        return finalize(self, *args, **kwargs)
+
+    def counted_retry(self, *args, **kwargs):
+        calls["retry"] += 1
+        return retry(self, *args, **kwargs)
+
+    monkeypatch.setattr(ParserHawkCompiler, "_finalize", reject_first)
+    monkeypatch.setattr(ParserHawkCompiler, "_retry_unscaled", counted_retry)
+    result = compile_spec(dispatch_spec, TOFINO)
+    assert result.ok and result.num_entries == 5
+    assert calls == {"finalize": 2, "retry": 1}
+    assert verify_equivalent(dispatch_spec, result.program) is None

@@ -167,7 +167,7 @@ class TestPortfolioCompile:
             # The highest-priority arm "wins" with a program that violates
             # the real device; the next arm wins cleanly.
             violations = ["key too wide"] if sub.priority == 0 else []
-            return sub.priority, _ok(violations), None, None
+            return sub.priority, _ok(violations), None
 
         monkeypatch.setattr(par, "_run_subproblem", fake_run)
         result = par.portfolio_compile(
@@ -234,7 +234,7 @@ class TestSelectResult:
             par,
             "_run_subproblem",
             lambda spec, sub, trace=False, faults=None: (
-                sub.priority, winner, None, None
+                sub.priority, winner, None
             ),
         )
         out = par.portfolio_compile(

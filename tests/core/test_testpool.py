@@ -41,7 +41,7 @@ class TestPoolBasics:
         assert Bits(0x08, 8) in pool
         assert Bits(0x09, 8) not in pool
         # The duplicate left the first entry's origin as it was.
-        assert [e.origin for e in pool.entries()] == [ORIGIN_CEX, ORIGIN_CEX]
+        assert [e.origin for e in pool.prefix()] == [ORIGIN_CEX, ORIGIN_CEX]
 
     def test_origin_stats(self, spec):
         pool = Pool(spec)
@@ -51,7 +51,7 @@ class TestPoolBasics:
             pool.add(Bits(3, 4)),
         ]
         assert added == [True, True, True]
-        assert [e.origin for e in pool.entries()] == [
+        assert [e.origin for e in pool.prefix()] == [
             ORIGIN_SEED, ORIGIN_CEX, ORIGIN_CEX,
         ]
 
@@ -83,7 +83,7 @@ class TestPoolExpectations:
     def test_expectation_memoized(self, spec):
         pool = Pool(spec)
         pool.add(Bits(0x8F, 8))
-        (entry,) = pool.entries()
+        (entry,) = pool.prefix()
         first = pool.expected(entry, 16)
         assert first is not None
         # Second lookup at an adequate bound returns the cached result.
@@ -93,7 +93,7 @@ class TestPoolExpectations:
     def test_overrun_entries_skipped_but_kept(self, spec):
         pool = Pool(spec)
         pool.add(Bits(0x08F, 12))  # needs two steps (start, parse_ipv4)
-        (entry,) = pool.entries()
+        (entry,) = pool.prefix()
         assert pool.expected(entry, 1) is None
         assert pool.tests(max_steps=1) == []
         assert len(pool) == 1      # a larger bound may still use it

@@ -1,5 +1,5 @@
-"""TCAM primitive tests: ternary matching, covers/overlap algebra,
-priority lookup, and the exact minimal-cover generator."""
+"""TCAM primitive tests: ternary matching, covers/overlap algebra and
+the exact minimal-cover generator."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hw import ResourceExhausted, TcamTable, TernaryPattern, minimal_cover_exact
+from repro.hw import TernaryPattern, minimal_cover_exact
 
 
 class TestTernaryPattern:
@@ -89,43 +89,6 @@ def test_overlap_semantics_property(v1, m1, v2, m2):
         a.matches(key) and b.matches(key) for key in range(16)
     )
     assert a.overlaps(b) == semantic_overlap
-
-
-class TestTcamTable:
-    def test_priority_first_match(self):
-        table = TcamTable(4)
-        table.install(TernaryPattern.from_wildcard_string("1***"), "high")
-        table.install(TernaryPattern.from_wildcard_string("11**"), "shadowed")
-        row = table.lookup(0b1100)
-        assert row is not None and row.action == "high"
-
-    def test_miss_returns_none(self):
-        table = TcamTable(4)
-        table.install(TernaryPattern.from_wildcard_string("1111"), "x")
-        assert table.lookup(0) is None
-
-    def test_capacity_enforced(self):
-        table = TcamTable(4, capacity=1)
-        table.install(TernaryPattern(0, 0, 4), "a")
-        with pytest.raises(ResourceExhausted):
-            table.install(TernaryPattern(0, 0, 4), "b")
-
-    def test_width_mismatch(self):
-        table = TcamTable(4)
-        with pytest.raises(ValueError):
-            table.install(TernaryPattern(0, 0, 3), "x")
-
-    def test_shadowed_rows(self):
-        table = TcamTable(4)
-        table.install(TernaryPattern.from_wildcard_string("****"), "all")
-        table.install(TernaryPattern.from_wildcard_string("1111"), "dead")
-        assert table.shadowed_rows() == [1]
-
-    def test_lookup_all(self):
-        table = TcamTable(4)
-        table.install(TernaryPattern.from_wildcard_string("1***"), "a")
-        table.install(TernaryPattern.from_wildcard_string("**11"), "b")
-        assert len(table.lookup_all(0b1011)) == 2
 
 
 class TestMinimalCover:

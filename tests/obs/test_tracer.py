@@ -95,7 +95,6 @@ class TestTracer:
 
         parent = Tracer()
         parent.attach(exported)
-        parent.registry.merge(worker.registry.snapshot())
         arm = parent.finish().children[0]
         assert arm.name == "portfolio.arm"
         assert arm.attrs["label"] == "key<=4"

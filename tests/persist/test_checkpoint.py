@@ -11,10 +11,16 @@ from repro.core.testpool import TestPool as Pool
 from repro.hw.device import tofino_profile
 from repro.ir import Bits, parse_spec
 from repro.obs import Tracer, use_tracer
-from repro.persist import CheckpointManager, arm_checkpoint_dir, flush_active
+from repro.persist import (
+    CheckpointManager,
+    arm_checkpoint_dir,
+    check_proof_bundle,
+    flush_active,
+)
 from repro.persist.checkpoint import CHECKPOINT_FILENAME
 from repro.resilience import injection
 from repro.resilience.faults import CompileFault
+from repro.smt.sat import SatSolver, lit
 
 KEY = "k" * 64
 ARM = "fwd:0123456789abcdef"
@@ -25,6 +31,18 @@ TINY = """
 header h { a : 4; }
 parser P { state start { extract(h); transition accept; } }
 """
+
+
+def _refutation():
+    """A DRAT log refuting all four sign patterns of two variables."""
+    solver = SatSolver()
+    log = solver.enable_proof()
+    solver.ensure_vars(2)
+    for a in (True, False):
+        for b in (True, False):
+            solver.add_clause([lit(0, a), lit(1, b)])
+    assert solver.solve() is False
+    return log
 
 
 class TestStateRoundTrip:
@@ -174,7 +192,7 @@ class TestWriteRule:
         empty = manager.path.read_bytes()
         pool.add(Bits(5, 4), "seed")
         manager.begin_attempt(ARM, BUDGET, 1)
-        manager.record_retired(ARM, STAGED, proof_ref={"refutation": "x"})
+        manager.record_retired(ARM, STAGED, proof=_refutation())
         manager.record_slice(ARM, 40.0)
         assert manager.path.read_bytes() == empty
         pool.add(Bits(9, 4), "cex")
@@ -183,7 +201,9 @@ class TestWriteRule:
         assert resumed.pool_entries(ARM) == [(5, 4, "seed"), (9, 4, "cex")]
         assert resumed.latest_attempt(ARM, BUDGET) == (1, [Bits(9, 4)])
         assert resumed.retired_budgets(ARM) == {STAGED}
-        assert resumed.proof_refs(ARM) == {"3:7": {"refutation": "x"}}
+        refs = resumed.proof_refs(ARM)
+        assert list(refs) == ["3:7"]
+        assert check_proof_bundle(tmp_path, refs["3:7"]) == (True, "")
         assert resumed.resume_slice(ARM) == 40.0
 
     def test_directed_compile_writes_twice(self, tmp_path, monkeypatch):

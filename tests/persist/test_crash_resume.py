@@ -62,14 +62,10 @@ def _fault_after_solves(n):
 
 
 class TestInProcessResume:
-    # test_reuse=False is the memoryless reference path: no pool, so a
-    # resumed budget replays its latest attempt's counterexamples alone.
-    @pytest.mark.parametrize("test_reuse", [True, False])
     def test_resume_reaches_identical_winner_with_fewer_iterations(
-        self, tmp_path, icmp_spec, full_device, test_reuse
+        self, tmp_path, icmp_spec, full_device
     ):
-        base = BASE.with_(test_reuse=test_reuse)
-        cold = compile_spec(icmp_spec, full_device, base)
+        cold = compile_spec(icmp_spec, full_device, BASE)
         assert cold.ok and cold.stats.cegis_iterations >= 3
         cold_fp = program_fingerprint(cold.program)
 
@@ -77,7 +73,7 @@ class TestInProcessResume:
         injection.inject("sat.solve", _fault_after_solves(4), times=None)
         try:
             crashed = compile_spec(
-                icmp_spec, full_device, base.with_(checkpoint_dir=ckpt)
+                icmp_spec, full_device, BASE.with_(checkpoint_dir=ckpt)
             )
         finally:
             injection.clear()
@@ -90,7 +86,7 @@ class TestInProcessResume:
             resumed = compile_spec(
                 icmp_spec,
                 full_device,
-                base.with_(checkpoint_dir=ckpt),
+                BASE.with_(checkpoint_dir=ckpt),
             )
         assert resumed.ok
         assert program_fingerprint(resumed.program) == cold_fp

@@ -214,7 +214,7 @@ class TestHarvestOnExpiry:
             "_run_subproblem",
             lambda spec, sub, trace=False, faults=None: (
                 sub.priority, winner if sub.priority == 0 else loser,
-                None, None,
+                None,
             ),
         )
         subs = [
@@ -246,7 +246,7 @@ class TestHarvestOnExpiry:
             return (
                 sub.priority,
                 CompileResult(STATUS_TIMEOUT, DEVICE, message="slow"),
-                None, None,
+                None,
             )
 
         monkeypatch.setattr(par, "_run_subproblem", run)
