@@ -357,9 +357,14 @@ class CegisSession:
                     # repeats the solve.  UNSAT here soundly
                     # retires the budget — pool tests are valid for the
                     # spec, so no correct program at this budget exists.
-                    # A conflict-capped UNKNOWN just stops warming: the
-                    # learnt clauses are kept and the live loop's
-                    # uncapped solves settle the instance.
+                    # A conflict-capped UNKNOWN does not stop warming: its
+                    # learnt clauses are kept, this test is encoded, and
+                    # the next pool test gets its own warm-up solve.  On
+                    # the IPU keysplit budgets the warm-ups run like
+                    # ``sssssss?U`` (s SAT, ? capped UNKNOWN, U UNSAT one
+                    # test later) or ``sssssss??U``; an instance the pool
+                    # leaves open is settled by the live loop's uncapped
+                    # solves.
                     with tracer.span("cegis.pool_warmup"):
                         status = solve_once(
                             max_conflicts=POOL_WARMUP_MAX_CONFLICTS

@@ -148,18 +148,17 @@ class CheckpointManager:
     def record_counterexample(
         self, arm_key: str, budget: BudgetKey, bits: Bits
     ) -> None:
-        """Append a live counterexample and write the file through —
+        """Append a live counterexample to the budget's attempt record
+        (:meth:`begin_attempt` makes it) and write the file through —
         carrying every record made since the last write."""
-        budget_doc = self._arm(arm_key)["budgets"].setdefault(
-            _budget_id(budget), {"cex": []}
-        )
+        budget_doc = self._arm(arm_key)["budgets"][_budget_id(budget)]
         budget_doc["cex"].append([bits.uint(), len(bits)])
         get_tracer().count("checkpoint.counterexamples")
         self.flush()
 
     def latest_attempt(
         self, arm_key: str, budget: BudgetKey
-    ) -> Optional[Tuple[Optional[int], List[Bits]]]:
+    ) -> Optional[Tuple[int, List[Bits]]]:
         """The budget's persisted latest attempt — its ``pool_base`` and
         counterexamples, which a resumed run seeds and replays — or
         None if none was recorded."""
@@ -168,7 +167,7 @@ class CheckpointManager:
         if doc is None:
             return None
         return (
-            doc.get("pool_base"),
+            doc["pool_base"],
             [Bits(value, length) for value, length in doc["cex"]],
         )
 

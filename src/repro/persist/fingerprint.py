@@ -24,14 +24,13 @@ reproducibility).
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import asdict
 from typing import Any, Dict
 
 from ..hw.device import DeviceProfile
 from ..hw.impl import TcamProgram
 from ..ir.spec import FieldKey, LookaheadKey, ParserSpec
+from .atomic import canonical_json, checksum_of
 
 # Bumped whenever a canonical document changes shape, so cache entries
 # and checkpoints written under the old shape miss cleanly.
@@ -52,12 +51,8 @@ NON_SEMANTIC_OPTIONS = frozenset(
 )
 
 
-def canonical_json(doc: Any) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-
 def digest_of(doc: Any) -> str:
-    return hashlib.sha256(canonical_json(doc).encode("utf-8")).hexdigest()
+    return checksum_of(canonical_json(doc))
 
 
 # ---------------------------------------------------------------------------

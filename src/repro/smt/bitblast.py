@@ -1,19 +1,31 @@
-"""Tseitin bit-blasting from the term layer down to CNF.
+"""Polarity-aware (Plaisted–Greenbaum) Tseitin bit-blasting from the term
+layer down to CNF.
 
 Each Bool term maps to one packed SAT literal; each BitVec term maps to a
 list of packed literals, least-significant bit first.  The blaster caches
 per-term results so shared sub-terms are encoded once (terms are interned,
 so the cache is an identity dict).
+
+And/Or gates are encoded by polarity (Plaisted & Greenbaum, "A
+structure-preserving clause form translation", 1986): the caller of
+:meth:`BitBlaster.bool_lit` names the implications it needs between the
+term and its literal, and an And/Or gate emits only the clauses for those.
+A term asserted true needs only literal→term (:data:`POS`); a term that
+occurs under a negation needs only term→literal (:data:`NEG`).  Children
+are requested in their parent's polarity and ``Not`` flips it.  A gate
+first encoded in one polarity and later needed in the other gains only
+the missing half.  Xor, equality, comparison, if-then-else and every
+bit-vector gate are encoded in both polarities.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from ..resilience.injection import fault_point
 from .sat.clause import neg
 from .sat.solver import SatSolver
-from .terms import BOOL, Term
+from .terms import BOOL, Not, Term
 
 # Default for constant-aware gate folding (see BitBlaster).  Folding is
 # semantics-preserving — it only short-circuits gates whose output is
@@ -22,13 +34,20 @@ from .terms import BOOL, Term
 # clause counts, SAT/UNSAT verdicts and models against.
 FOLD_CONSTANTS = True
 
+# Polarity bits: which implications between a Bool term and its literal
+# the caller of ``bool_lit`` needs.
+POS = 1  # literal → term: the term occurs positively (asserted true)
+NEG = 2  # term → literal: the term occurs negated
+BOTH = POS | NEG
+_FLIP = (0, NEG, POS, BOTH)  # the polarity a Not's argument is needed in
+
 
 class BitBlaster:
     """Incrementally encodes terms into a :class:`SatSolver` instance.
 
     Gate encodings are **constant-aware**: once the constant literal
     exists, gates fold known-true/known-false inputs (and equal or
-    complementary input pairs) before emitting Tseitin auxiliaries.
+    complementary input pairs) before emitting gate auxiliaries.
     Constant inputs are common in the synthesis encodings — test
     constraints substitute concrete input bits into the shared candidate
     circuit — and every folded gate saves an auxiliary variable and its
@@ -41,22 +60,25 @@ class BitBlaster:
         fold_constants: bool | None = None,
     ) -> None:
         self.solver = solver
-        self._bool_cache: Dict[Term, int] = {}
+        # Bool term -> (literal, polarity bits already encoded).
+        self._bool_cache: Dict[Term, Tuple[int, int]] = {}
         self._bv_cache: Dict[Term, List[int]] = {}
         self._true_lit: int | None = None
         self._fold = (
             FOLD_CONSTANTS if fold_constants is None else fold_constants
         )
-        # Structural CNF cache: gate outputs keyed by (op, canonical
-        # input-literal tuple).  The term caches above only hash-cons
-        # whole terms; across CEGIS iterations the *terms* differ (fresh
-        # test constants substituted into the shared candidate circuit)
-        # while huge swaths of the gate structure repeat literal-for-
-        # literal.  A Tseitin output is functionally determined by its
-        # inputs and its defining clauses are never retracted (the
-        # facade never retracts a clause), so reusing the output literal
-        # is always sound and emits each distinct gate exactly once.
-        self._gate_cache: Dict[tuple, int] = {}
+        # Structural CNF cache: (output literal, polarity halves emitted)
+        # keyed by (op, canonical input-literal tuple).  The term caches
+        # above only hash-cons whole terms; across CEGIS iterations the
+        # *terms* differ (fresh test constants substituted into the
+        # shared candidate circuit) while huge swaths of the gate
+        # structure repeat literal-for-literal.  Each half relates the
+        # output only to the gate's function of its inputs, and clauses
+        # are never retracted (the facade never retracts a clause), so
+        # every term that maps to a key can share its output as long as
+        # it gets the halves it needs: each half of each distinct gate
+        # is emitted at most once.
+        self._gate_cache: Dict[tuple, Tuple[int, int]] = {}
         self.gate_cache_hits = 0
 
     # ------------------------------------------------------------------
@@ -93,36 +115,60 @@ class BitBlaster:
     # ------------------------------------------------------------------
     # Gate encodings
     # ------------------------------------------------------------------
-    def _and_gate(self, inputs: List[int]) -> int:
+    def _gate(self, op: str, inputs: List[int], pol: int = BOTH) -> int:
+        """The output literal of ``op`` ("and" or "or") over ``inputs``,
+        defined by the clauses of polarity ``pol`` only.
+
+        An AND's POS half is one ``¬out ∨ in`` clause per input and its
+        NEG half the one clause ``out ∨ ¬in₁ ∨ … ∨ ¬inₙ``; an OR's halves
+        are the duals.  The gate cache records which halves a gate has,
+        so a later request in another polarity emits only the missing
+        one."""
+        is_and = op == "and"
         if self._fold:
+            # The absorbing constant (False for AND, True for OR) or a
+            # complementary pair decides the gate; the other constant
+            # and repeated inputs drop out.
+            absorbing = not is_and
             seen: set = set()
             folded: List[int] = []
             for l in inputs:
                 c = self._lit_const(l)
-                if c is False or (l ^ 1) in seen:
-                    return self.false_lit()
-                if c is True or l in seen:
+                if c is absorbing or (l ^ 1) in seen:
+                    return self.const_lit(absorbing)
+                if c is not None or l in seen:
                     continue
                 seen.add(l)
                 folded.append(l)
             inputs = folded
-        else:
-            inputs = [l for l in inputs]
         if not inputs:
-            return self.true_lit()
+            return self.const_lit(is_and)
         if len(inputs) == 1:
             return inputs[0]
-        key = ("and", tuple(sorted(inputs)))
+        key = (op, tuple(sorted(inputs)))
         hit = self._gate_cache.get(key)
-        if hit is not None:
-            self.gate_cache_hits += 1
-            return hit
-        out = self.fresh_lit()
+        if hit is None:
+            out, done = self.fresh_lit(), 0
+        else:
+            out, done = hit
+            pol &= ~done
+            if not pol:
+                self.gate_cache_hits += 1
+                return out
+        self._gate_cache[key] = (out, done | pol)
         add = self.solver.add_clause
-        for l in inputs:
-            add([neg(out), l])
-        add([out] + [neg(l) for l in inputs])
-        self._gate_cache[key] = out
+        if is_and:
+            if pol & POS:
+                for l in inputs:
+                    add([neg(out), l])
+            if pol & NEG:
+                add([out] + [neg(l) for l in inputs])
+        else:
+            if pol & NEG:
+                for l in inputs:
+                    add([neg(l), out])
+            if pol & POS:
+                add([neg(out)] + inputs)
         return out
 
     def _xor_gate(self, a: int, b: int) -> int:
@@ -143,14 +189,14 @@ class BitBlaster:
         hit = self._gate_cache.get(key)
         if hit is not None:
             self.gate_cache_hits += 1
-            return hit
+            return hit[0]
         out = self.fresh_lit()
         add = self.solver.add_clause
         add([neg(out), a, b])
         add([neg(out), neg(a), neg(b)])
         add([out, neg(a), b])
         add([out, a, neg(b)])
-        self._gate_cache[key] = out
+        self._gate_cache[key] = (out, BOTH)
         return out
 
     def _ite_gate(self, c: int, t: int, e: int) -> int:
@@ -164,98 +210,79 @@ class BitBlaster:
             ce = self._lit_const(e)
             if ct is True:
                 # (c ? 1 : e)  =  c ∨ e
-                return self._or_gate_list([c, e])
+                return self._gate("or", [c, e])
             if ct is False:
                 # (c ? 0 : e)  =  ¬c ∧ e
-                return self._and_gate([neg(c), e])
+                return self._gate("and", [neg(c), e])
             if ce is True:
-                return self._or_gate_list([neg(c), t])
+                return self._gate("or", [neg(c), t])
             if ce is False:
-                return self._and_gate([c, t])
+                return self._gate("and", [c, t])
         # Canonical form: condition stored with positive polarity.
         key = ("ite", c, t, e) if not c & 1 else ("ite", c ^ 1, e, t)
         hit = self._gate_cache.get(key)
         if hit is not None:
             self.gate_cache_hits += 1
-            return hit
+            return hit[0]
         out = self.fresh_lit()
         add = self.solver.add_clause
         add([neg(c), neg(t), out])
         add([neg(c), t, neg(out)])
         add([c, neg(e), out])
         add([c, e, neg(out)])
-        self._gate_cache[key] = out
+        self._gate_cache[key] = (out, BOTH)
         return out
 
     def _full_adder(self, a: int, b: int, cin: int) -> tuple[int, int]:
         s = self._xor_gate(self._xor_gate(a, b), cin)
-        carry = self._or_gate_list(
-            [self._and_gate([a, b]), self._and_gate([a, cin]), self._and_gate([b, cin])]
-        )
+        carry = self._gate("or", [
+            self._gate("and", [a, b]),
+            self._gate("and", [a, cin]),
+            self._gate("and", [b, cin]),
+        ])
         return s, carry
-
-    def _or_gate_list(self, inputs: List[int]) -> int:
-        if self._fold:
-            seen: set = set()
-            folded: List[int] = []
-            for l in inputs:
-                c = self._lit_const(l)
-                if c is True or (l ^ 1) in seen:
-                    return self.true_lit()
-                if c is False or l in seen:
-                    continue
-                seen.add(l)
-                folded.append(l)
-            inputs = folded
-        if not inputs:
-            return self.false_lit()
-        if len(inputs) == 1:
-            return inputs[0]
-        key = ("or", tuple(sorted(inputs)))
-        hit = self._gate_cache.get(key)
-        if hit is not None:
-            self.gate_cache_hits += 1
-            return hit
-        out = self.fresh_lit()
-        add = self.solver.add_clause
-        for l in inputs:
-            add([neg(l), out])
-        add([neg(out)] + inputs)
-        self._gate_cache[key] = out
-        return out
 
     # ------------------------------------------------------------------
     # Term encoding
     # ------------------------------------------------------------------
-    def bool_lit(self, term: Term) -> int:
-        """The SAT literal representing a Bool term."""
+    def bool_lit(self, term: Term, pol: int = BOTH) -> int:
+        """The SAT literal representing a Bool term, defined in polarity
+        ``pol``: :data:`POS` guarantees literal → term, :data:`NEG`
+        term → literal, :data:`BOTH` (the default) equivalence."""
         if term.sort != BOOL:
             raise TypeError(f"bool_lit on non-Bool term {term!r}")
         hit = self._bool_cache.get(term)
-        if hit is not None:
-            return hit
-        op = term.op
-        if op == "const":
-            lit = self.const_lit(term.extra[0])
-        elif op == "var":
-            lit = self.fresh_lit()
-        elif op == "not":
-            lit = neg(self.bool_lit(term.args[0]))
-        elif op == "and":
-            lit = self._and_gate([self.bool_lit(a) for a in term.args])
-        elif op == "or":
-            lit = self._or_gate_list([self.bool_lit(a) for a in term.args])
-        elif op == "xor":
-            lit = self._xor_gate(
-                self.bool_lit(term.args[0]), self.bool_lit(term.args[1])
-            )
-        elif op == "eq":
-            lit = self._encode_eq(term.args[0], term.args[1])
-        elif op == "ult":
-            lit = self._encode_ult(term.args[0], term.args[1])
+        if hit is None:
+            done = 0
         else:
-            raise NotImplementedError(f"bool_lit: op {op}")
-        self._bool_cache[term] = lit
+            lit, done = hit
+            pol &= ~done
+            if not pol:
+                return lit
+        op = term.op
+        if op == "not":
+            lit = neg(self.bool_lit(term.args[0], _FLIP[pol]))
+        elif op == "and" or op == "or":
+            lit = self._gate(
+                op, [self.bool_lit(a, pol) for a in term.args], pol
+            )
+        else:
+            pol = BOTH
+            if op == "const":
+                lit = self.const_lit(term.extra[0])
+            elif op == "var":
+                lit = self.fresh_lit()
+            elif op == "xor":
+                lit = self._xor_gate(
+                    self.bool_lit(term.args[0]), self.bool_lit(term.args[1])
+                )
+            elif op == "eq":
+                lit = self._encode_eq(term.args[0], term.args[1])
+            elif op == "ult":
+                lit = self._encode_ult(term.args[0], term.args[1])
+            else:
+                raise NotImplementedError(f"bool_lit: op {op}")
+        self._bool_cache[term] = (lit, done | pol)
         return lit
 
     def bv_lits(self, term: Term) -> List[int]:
@@ -277,9 +304,9 @@ class BitBlaster:
             a = self.bv_lits(term.args[0])
             b = self.bv_lits(term.args[1])
             if op == "bvand":
-                lits = [self._and_gate([x, y]) for x, y in zip(a, b)]
+                lits = [self._gate("and", [x, y]) for x, y in zip(a, b)]
             elif op == "bvor":
-                lits = [self._or_gate_list([x, y]) for x, y in zip(a, b)]
+                lits = [self._gate("or", [x, y]) for x, y in zip(a, b)]
             else:
                 lits = [self._xor_gate(x, y) for x, y in zip(a, b)]
         elif op == "bvadd":
@@ -328,7 +355,7 @@ class BitBlaster:
         la = self.bv_lits(a)
         lb = self.bv_lits(b)
         diffs = [self._xor_gate(x, y) for x, y in zip(la, lb)]
-        return neg(self._or_gate_list(diffs))
+        return neg(self._gate("or", diffs))
 
     def _encode_ult(self, a: Term, b: Term) -> int:
         la = self.bv_lits(a)
@@ -336,9 +363,9 @@ class BitBlaster:
         # Ripple from LSB: lt_i = (~a_i & b_i) | (a_i==b_i) & lt_{i-1}
         lt = self.false_lit()
         for x, y in zip(la, lb):
-            strictly = self._and_gate([neg(x), y])
+            strictly = self._gate("and", [neg(x), y])
             equal = neg(self._xor_gate(x, y))
-            lt = self._or_gate_list([strictly, self._and_gate([equal, lt])])
+            lt = self._gate("or", [strictly, self._gate("and", [equal, lt])])
         return lt
 
     # ------------------------------------------------------------------
@@ -347,20 +374,35 @@ class BitBlaster:
     def assert_term(self, term: Term) -> None:
         """Assert a Bool term.
 
-        Top-level conjunctions are asserted conjunct-by-conjunct and
-        top-level disjunctions become a single clause over their arguments'
-        literals — avoiding one Tseitin auxiliary variable per asserted
-        constraint, which matters a great deal for the one-hot-heavy
-        synthesis encodings."""
+        An asserted term is needed only in positive polarity, and
+        asserted And/Or structure gets no gate variable of its own: a
+        conjunction is asserted conjunct by conjunct, a disjunction
+        becomes one clause over its arguments' POS literals, ``Not(Or)``
+        asserts each negated argument, and ``Not(And)`` becomes one
+        clause over its arguments' negated NEG literals.  This matters
+        a great deal for the synthesis encodings, whose leaf
+        constraints are negated path guards."""
         fault_point("bitblast")
-        if term.op == "and":
+        op = term.op
+        if op == "and":
             for arg in term.args:
                 self.assert_term(arg)
             return
-        if term.op == "or":
-            self.solver.add_clause([self.bool_lit(a) for a in term.args])
+        if op == "or":
+            self.solver.add_clause([self.bool_lit(a, POS) for a in term.args])
             return
-        self.solver.add_clause([self.bool_lit(term)])
+        if op == "not":
+            inner = term.args[0]
+            if inner.op == "or":
+                for arg in inner.args:
+                    self.assert_term(Not(arg))
+                return
+            if inner.op == "and":
+                self.solver.add_clause(
+                    [neg(self.bool_lit(a, NEG)) for a in inner.args]
+                )
+                return
+        self.solver.add_clause([self.bool_lit(term, POS)])
 
     def model_bool(self, term: Term) -> bool:
         return self.solver.model_value(self.bool_lit(term))

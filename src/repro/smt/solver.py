@@ -85,13 +85,19 @@ class Solver:
         # over one shared candidate circuit, and only the first walk pays
         # for the shared structure.
         self._scanned: set[Term] = set()
+        # The last check's SAT assignment stays in the CDCL core until the
+        # next add or check; model() builds the Model from it on demand.
+        self._sat_live = False
         self._model: Optional[Model] = None
         self._gate_hits_seen = 0  # for per-check gate-cache deltas
         self._proof_logged_seen = 0  # for per-check proof-step deltas
 
     # ------------------------------------------------------------------
     def add(self, *terms: Term) -> None:
-        """Assert one or more Bool terms."""
+        """Assert one or more Bool terms.  This ends the last check's
+        assignment: ``model()`` then needs another sat ``check()``."""
+        self._sat_live = False
+        self._model = None
         for term in terms:
             if not isinstance(term, Term) or term.sort != BOOL:
                 raise TypeError(f"Solver.add expects Bool terms, got {term!r}")
@@ -109,6 +115,8 @@ class Solver:
         if max_conflicts is not None or max_seconds is not None:
             budget = Budget(max_conflicts=max_conflicts, max_seconds=max_seconds)
         fault_point("sat.solve")
+        self._sat_live = False
+        self._model = None
         try:
             result = self._sat.solve(budget=budget)
         except (MemoryError, RecursionError) as exc:
@@ -153,14 +161,18 @@ class Solver:
         if result is None:
             return UNKNOWN
         if result:
-            self._model = Model(self._blaster, self._vars)
+            self._sat_live = True
             return SAT
-        self._model = None
         return UNSAT
 
     def model(self) -> Model:
+        """The Model of the last check, which must have been sat with no
+        ``add()`` since.  It is built on the first call: most SAT checks
+        (pool warm-up solves) never read one."""
         if self._model is None:
-            raise RuntimeError("model() requires a prior sat check()")
+            if not self._sat_live:
+                raise RuntimeError("model() requires a prior sat check()")
+            self._model = Model(self._blaster, self._vars)
         return self._model
 
     def stats(self) -> Dict[str, int]:

@@ -54,11 +54,12 @@ class TestStateRoundTrip:
     def test_counterexamples_replay_in_order(self, tmp_path):
         manager = CheckpointManager(tmp_path, KEY)
         inputs = [Bits(0b101, 3), Bits(0, 1), Bits(0xFF, 8)]
+        manager.begin_attempt(ARM, BUDGET, 0)
         for bits in inputs:
             manager.record_counterexample(ARM, BUDGET, bits)
         resumed = CheckpointManager(tmp_path, KEY)
         assert resumed.resumed
-        assert resumed.latest_attempt(ARM, BUDGET) == (None, inputs)
+        assert resumed.latest_attempt(ARM, BUDGET) == (0, inputs)
         # Budgets and arms are separate records.
         assert resumed.latest_attempt(ARM, STAGED) is None
         assert resumed.latest_attempt("loop:other", BUDGET) is None
@@ -80,6 +81,7 @@ class TestStateRoundTrip:
 class TestResumeGuards:
     def test_key_mismatch_not_adopted(self, tmp_path):
         old = CheckpointManager(tmp_path, "a" * 64)
+        old.begin_attempt(ARM, BUDGET, 0)
         old.record_counterexample(ARM, BUDGET, Bits(1, 1))
         tracer = Tracer()
         with use_tracer(tracer):
@@ -90,6 +92,7 @@ class TestResumeGuards:
 
     def test_corrupt_checkpoint_means_cold_start(self, tmp_path):
         old = CheckpointManager(tmp_path, KEY)
+        old.begin_attempt(ARM, BUDGET, 0)
         old.record_counterexample(ARM, BUDGET, Bits(1, 1))
         old.path.write_text(old.path.read_text()[:-40])
         resumed = CheckpointManager(tmp_path, KEY)
@@ -103,6 +106,7 @@ class TestResumeGuards:
 class TestDegradation:
     def test_write_failures_self_disable(self, tmp_path):
         manager = CheckpointManager(tmp_path, KEY)
+        manager.begin_attempt(ARM, BUDGET, 0)
         injection.inject(
             "persist.write", CompileFault("disk full"), times=None
         )
@@ -157,6 +161,7 @@ class TestPoolPersistence:
 
     def test_begin_attempt_keeps_only_the_latest(self, tmp_path):
         manager = CheckpointManager(tmp_path, KEY)
+        manager.begin_attempt(ARM, BUDGET, 0)
         manager.record_counterexample(ARM, BUDGET, Bits(1, 2))
         # A retry starts a fresh attempt at a larger pool base: the old
         # attempt's live counterexamples are superseded (they are in the

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.smt import (
+    And,
     BitVec,
     BitVecVal,
     Bool,
@@ -27,11 +28,13 @@ from repro.smt import (
     If,
     Implies,
     Not,
+    Or,
     SAT,
     Solver,
     ULE,
     ULT,
     UNSAT,
+    Xor,
     evaluate,
 )
 
@@ -53,6 +56,19 @@ class TestSolverFacade:
     def test_model_before_check_raises(self):
         with pytest.raises(RuntimeError):
             Solver().model()
+
+    def test_model_after_add_raises(self):
+        # The Model is read off the last check's assignment on the first
+        # model() call; an add() ends that assignment.
+        s = Solver()
+        s.add(Bool("p"))
+        assert s.check() == SAT
+        assert s.model() is s.model()
+        s.add(Bool("q"))
+        with pytest.raises(RuntimeError):
+            s.model()
+        assert s.check() == SAT
+        assert s.model()[Bool("q")] is True
 
     def test_non_bool_assertion_rejected(self):
         with pytest.raises(TypeError):
@@ -269,3 +285,123 @@ class TestConstantFolding:
         )
         results = self._check_both([term])
         assert (results[True][0] == SAT) == expect_sat
+
+
+# ---------------------------------------------------------------------------
+# Polarity-aware encoding: And/Or gates carry only the halves their uses need
+# ---------------------------------------------------------------------------
+
+_PA, _PB, _PC = Bool("pol_a"), Bool("pol_b"), Bool("pol_c")
+_PX = BitVec("pol_x", 2)
+# Bool variables plus fully-encoded bit-vector atoms, so gate polarity
+# meets constant folding and the both-polarity Xor/eq/ult gates.
+_POL_ATOMS = (_PA, _PB, _PC, Eq(_PX, BitVecVal(1, 2)), ULT(_PX, BitVecVal(2, 2)))
+_POL_ENVS = [
+    {_PA: a, _PB: b, _PC: c, _PX: x}
+    for a, b, c, x in itertools.product(
+        (False, True), (False, True), (False, True), range(4)
+    )
+]
+_POL_BUILD = {
+    "and": lambda a, b, c: And(a, b),
+    "and3": lambda a, b, c: And(a, b, c),
+    "or": lambda a, b, c: Or(b, a),
+    "or3": lambda a, b, c: Or(a, b, c),
+    "not": lambda a, b, c: Not(a),
+    "xor": lambda a, b, c: Xor(a, b),
+    "ite": lambda a, b, c: If(a, b, c),
+}
+
+
+class TestPolarity:
+    """And/Or gates emit only the implications their uses need (POS:
+    literal → term, NEG: term → literal), and a gate later needed in the
+    other polarity gains the missing half.  Brute force and ``evaluate``
+    are the reference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        steps=st.lists(
+            st.tuples(
+                st.sampled_from(sorted(_POL_BUILD)),
+                st.integers(0, 63), st.integers(0, 63), st.integers(0, 63),
+            ),
+            min_size=1, max_size=12,
+        ),
+        clauses=st.lists(
+            st.lists(
+                st.tuples(st.integers(0, 63), st.booleans()),
+                min_size=1, max_size=3,
+            ),
+            min_size=1, max_size=6,
+        ),
+        fold=st.booleans(),
+    )
+    def test_incremental_shared_formulas_match_brute_force(
+        self, steps, clauses, fold
+    ):
+        # A pool of formulas that share subterms; each assertion is a
+        # disjunction of pool formulas or their negations.  A disjunct is
+        # encoded as a gate (a lone one is flattened by assert_term), so a
+        # subterm first needed in one polarity is often needed in the
+        # other by a later assertion.
+        from repro.smt import bitblast as bitblast_mod
+
+        pool = list(_POL_ATOMS)
+        for op, i, j, k in steps:
+            pool.append(_POL_BUILD[op](
+                *(pool[n % len(pool)] for n in (i, j, k))
+            ))
+        saved = bitblast_mod.FOLD_CONSTANTS
+        bitblast_mod.FOLD_CONSTANTS = fold
+        try:
+            s = Solver()
+        finally:
+            bitblast_mod.FOLD_CONSTANTS = saved
+        asserted = []
+        for clause in clauses:
+            picked = [(pool[i % len(pool)], negate) for i, negate in clause]
+            asserted.append(Or(*(Not(t) if n else t for t, n in picked)))
+            s.add(asserted[-1])
+            expect_sat = any(
+                all(evaluate(t, env) for t in asserted) for env in _POL_ENVS
+            )
+            status = s.check()
+            assert status == (SAT if expect_sat else UNSAT)
+            if status == SAT:
+                model = s.model()
+                assert all(model.eval(t) is True for t in asserted)
+
+    def test_gate_gains_the_missing_half(self):
+        # x is first needed negatively (under the Not), then positively:
+        # Or(x, d) with d false forces x's literal, and only the half
+        # emitted on the second use makes that literal imply a and b.
+        a, b, c, d = (Bool(f"up_{n}") for n in "abcd")
+        x = And(a, b)
+        s = Solver()
+        s.add(Or(Not(x), c))
+        s.add(Or(x, d))
+        s.add(Not(d))
+        models = 0
+        while s.check() == SAT:
+            m = s.model()
+            assert m[a] and m[b], m
+            models += 1
+            # Block this assignment to reach every model.
+            s.add(Or(*(Not(v) if m[v] else v for v in (a, b, c, d))))
+        assert models == 1  # a, b, c true; d false
+
+    def test_negated_and_is_one_clause_without_a_gate(self):
+        from repro.smt import BitBlaster, SatSolver
+        from repro.smt.sat.clause import neg
+
+        a, b, c = Bool("na_a"), Bool("na_b"), Bool("na_c")
+        sat = SatSolver()
+        blaster = BitBlaster(sat)
+        blaster.assert_term(Not(And(a, b, c)))
+        lits = [blaster.bool_lit(v) for v in (a, b, c)]
+        assert sat.num_vars == 3
+        assert sat.num_clauses_added == 1
+        assert [list(sat.arena.literals(cref)) for cref in sat.clauses] == [
+            [neg(lit) for lit in lits]
+        ]
